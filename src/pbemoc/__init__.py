@@ -57,7 +57,6 @@ from .pipeline import (
     PipelineError,
     PipelinePlan,
     PipelineRun,
-    TimingReport,
     partition,
     run_pipeline,
     timing_report,

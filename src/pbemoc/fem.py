@@ -175,6 +175,22 @@ def assemble_convection(
     return _scatter(mesh, local)
 
 
+def _point_scatter(mesh: SpatialMesh, basis: BasisSet, quad_degree: int | None):
+    """Load-degree quadrature data plus a builder that turns (ne, nl, nq) weights
+    into the sparse (num_nodes, ne*nq) scatter of quadrature-point values."""
+    qd = _QuadData(mesh, basis, quad_degree or 2 * basis.order + 2)
+    ne, nq = qd.wdet.shape
+    nl = qd.conn.shape[1]
+    rows = np.repeat(qd.conn, nq, axis=1).ravel()
+    cols = np.tile(np.arange(ne * nq).reshape(ne, nq), (1, nl)).ravel()
+    shape = (mesh.num_nodes, ne * nq)
+
+    def scatter(weights: np.ndarray) -> sp.csr_matrix:
+        return sp.coo_matrix((weights.ravel(), (rows, cols)), shape=shape).tocsr()
+
+    return qd, scatter
+
+
 class LoadAssembler:
     """Reusable evaluator of load vectors integral of g phi_i for scalar fields g.
 
@@ -183,15 +199,8 @@ class LoadAssembler:
     """
 
     def __init__(self, mesh: SpatialMesh, basis: BasisSet, quad_degree: int | None = None):
-        qd = _QuadData(mesh, basis, quad_degree or 2 * basis.order + 2)
-        ne, nq = qd.wdet.shape
-        nl = qd.conn.shape[1]
-        rows = np.repeat(qd.conn, nq, axis=1).ravel()
-        cols = np.tile(np.arange(ne * nq).reshape(ne, nq), (1, nl)).ravel()
-        data = (qd.wdet[:, None, :] * qd.vals[None, :, :]).ravel()
-        self._matrix = sp.coo_matrix(
-            (data, (rows, cols)), shape=(mesh.num_nodes, ne * nq)
-        ).tocsr()
+        qd, scatter = _point_scatter(mesh, basis, quad_degree)
+        self._matrix = scatter(qd.wdet[:, None, :] * qd.vals[None, :, :])
         self.x, self.y = qd.points
 
     def assemble(self, g: Callable) -> np.ndarray:
@@ -205,16 +214,11 @@ class GradientLoadAssembler:
     """Reusable evaluator of integral of grad g . grad phi_i for fields with known gradient."""
 
     def __init__(self, mesh: SpatialMesh, basis: BasisSet, quad_degree: int | None = None):
-        qd = _QuadData(mesh, basis, quad_degree or 2 * basis.order + 2)
-        ne, nq = qd.wdet.shape
-        nl = qd.conn.shape[1]
-        rows = np.repeat(qd.conn, nq, axis=1).ravel()
-        cols = np.tile(np.arange(ne * nq).reshape(ne, nq), (1, nl)).ravel()
-        shape = (mesh.num_nodes, ne * nq)
+        qd, scatter = _point_scatter(mesh, basis, quad_degree)
         # (ne, nl, nq, 2) weighted physical gradients
         wg = qd.wdet[:, None, :, None] * qd.grads
-        self._mx = sp.coo_matrix((wg[..., 0].ravel(), (rows, cols)), shape=shape).tocsr()
-        self._my = sp.coo_matrix((wg[..., 1].ravel(), (rows, cols)), shape=shape).tocsr()
+        self._mx = scatter(wg[..., 0])
+        self._my = scatter(wg[..., 1])
         self.x, self.y = qd.points
 
     def assemble(self, g_grad: Callable) -> np.ndarray:

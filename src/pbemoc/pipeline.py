@@ -17,10 +17,11 @@ to the sequential one under the direct solver.
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
@@ -37,6 +38,7 @@ from .stepper import (
     _check_compatibility,
     _project_boundary,
     _project_initial,
+    boundary_slice,
     precompute_operators,
 )
 
@@ -44,7 +46,7 @@ __all__ = [
     "PipelinePlan",
     "BoundaryMessage",
     "PipelineRun",
-    "TimingReport",
+    "ScalingRow",
     "PipelineError",
     "ProtocolError",
     "partition",
@@ -118,12 +120,16 @@ class _Abort:
     step: int
 
 
-@dataclass
-class _RunStats:
-    wall_seconds: float = 0.0
-    worker_busy_seconds: list = field(default_factory=list)
-    messages_sent: int = 0
-    step_spans: list = field(default_factory=list)  # per worker: [(start, end), ...]
+@dataclass(eq=False)
+class PipelineRun:
+    """Result of a pipelined run: final surface plus timing and traffic counters."""
+
+    surface: SolutionSurface
+    plan: PipelinePlan
+    wall_seconds: float
+    worker_busy_seconds: list
+    messages_sent: int
+    step_spans: list  # per worker: [(start, end), ...]
 
 
 class _Worker(threading.Thread):
@@ -242,25 +248,15 @@ class _Engine:
         values = {}
         for w in workers:
             values.update(w.final)
-        stats = _RunStats(
+        surface = SolutionSurface(self.n_steps, tuple(values[m] for m in range(self.plan.M + 1)))
+        return values, PipelineRun(
+            surface=surface,
+            plan=self.plan,
             wall_seconds=wall,
             worker_busy_seconds=[w.busy for w in workers],
             messages_sent=self._sent,
             step_spans=[w.spans for w in workers],
         )
-        return values, stats
-
-
-@dataclass(eq=False)
-class PipelineRun:
-    """Result of a pipelined run: final surface plus timing and traffic counters."""
-
-    surface: SolutionSurface
-    plan: PipelinePlan
-    wall_seconds: float
-    worker_busy_seconds: list
-    messages_sent: int
-    step_spans: list
 
 
 def run_pipeline(
@@ -296,23 +292,11 @@ def run_pipeline(
         return _project_initial(ops.projector, spec, float(lgrid.nodes[m]), m)
 
     def boundary(ops: Operators, n: int) -> FieldSlice:
-        return _project_boundary(ops.projector, spec, float(tgrid.times[n]), n)
+        return boundary_slice(n, tgrid, mesh, basis, spec, ops)
 
-    def advance(ops: Operators, n: int, m: int, left: FieldSlice, same: FieldSlice) -> FieldSlice:
-        return _advance(ops, n, m, left, same)
-
-    engine = _Engine(plan, tgrid.N, worker_setup, init_slice, boundary, advance)
-    values, stats = engine.execute()
-    slices = tuple(values[m] for m in range(lgrid.M + 1))
-    surface = SolutionSurface(tgrid.N, slices)
-    return PipelineRun(
-        surface=surface,
-        plan=plan,
-        wall_seconds=stats.wall_seconds,
-        worker_busy_seconds=stats.worker_busy_seconds,
-        messages_sent=stats.messages_sent,
-        step_spans=stats.step_spans,
-    )
+    engine = _Engine(plan, tgrid.N, worker_setup, init_slice, boundary, _advance)
+    _, run = engine.execute()
+    return run
 
 
 def _fresh_projector(mesh, basis, solver_config):
@@ -322,24 +306,26 @@ def _fresh_projector(mesh, basis, solver_config):
 
 
 @dataclass(frozen=True)
-class TimingReport:
-    """Per-run timing summary in the shape of the scaling tables."""
+class ScalingRow:
+    """Timing summary of one run, in the shape of the scaling tables."""
 
     workers: int
     total_seconds: float
     speedup: float
     avg_worker_seconds: float
     max_worker_seconds: float
+    oversubscribed: bool = False  # more workers than cores
 
 
-def timing_report(run: PipelineRun, baseline: PipelineRun | None = None) -> TimingReport:
+def timing_report(run: PipelineRun, baseline: PipelineRun | None = None) -> ScalingRow:
     """Summarize a run; speedup is measured against the designated baseline."""
     busy = run.worker_busy_seconds
     base_wall = baseline.wall_seconds if baseline is not None else run.wall_seconds
-    return TimingReport(
+    return ScalingRow(
         workers=run.plan.P,
         total_seconds=run.wall_seconds,
         speedup=base_wall / run.wall_seconds,
         avg_worker_seconds=float(np.mean(busy)),
         max_worker_seconds=float(np.max(busy)),
+        oversubscribed=run.plan.P > (os.cpu_count() or 1),
     )

@@ -215,9 +215,13 @@ def boundary_slice(
     spec: ProblemSpec,
     operators: Operators | None = None,
 ) -> FieldSlice:
-    """Slice m=0 at time level n: gradient projection of the inflow data."""
+    """Slice m=0 at time level n: gradient projection of the inflow data.
+
+    The inflow is taken at t = n*tau, the time at which the other slices of
+    level n evaluate the source.
+    """
     projector = operators.projector if operators is not None else RitzProjector(mesh, basis)
-    return _project_boundary(projector, spec, float(tgrid.times[n]), n)
+    return _project_boundary(projector, spec, n * tgrid.tau, n)
 
 
 def _advance(
@@ -290,7 +294,7 @@ def run_sequential(
         write_snapshot(surface, _snapshot_path(snapshot_dir, 0))
 
     for n in range(1, tgrid.N + 1):
-        slices = [_project_boundary(ops.projector, spec, float(tgrid.times[n]), n)]
+        slices = [boundary_slice(n, tgrid, mesh, basis, spec, ops)]
         for m in range(1, lgrid.M + 1):
             slices.append(_advance(ops, n, m, surface.slices[m - 1], surface.slices[m]))
         surface = SolutionSurface(n, tuple(slices))

@@ -3,8 +3,8 @@
 Nothing here shares code with the package beyond mesh connectivity and the
 quadrature rule constants: shape functions are built by inverting a monomial
 Vandermonde matrix, assembly is plain Python loops into dense matrices, the
-affine map is applied through explicit 2x2 solves, and systems are solved
-with numpy's dense LU.
+affine map is applied through explicit 2x2 solves, systems are solved with
+numpy's dense LU, and the benchmark problem is derived symbolically with sympy.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from math import factorial
 
 import numpy as np
+import sympy
 
 REF_NODES = {
     1: [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
@@ -204,3 +205,68 @@ def eval_fe(mesh, basis, coeffs, x, y):
         else:
             raise RuntimeError(f"point ({xf[k]}, {yf[k]}) not located in any element")
     return out.reshape(np.shape(x))
+
+
+# ---------------------------------------------------------------------------
+# symbolic derivation of the benchmark problem
+
+
+def _broadcast_to_arg(fn, shape_arg: int):
+    """Wrap a lambdified expression so the result always matches one argument's shape."""
+
+    def wrapped(*args):
+        ref = np.asarray(args[shape_arg], dtype=float)
+        out = np.asarray(fn(*args), dtype=float)
+        if out.shape != ref.shape:
+            out = np.broadcast_to(out, ref.shape).copy()
+        return out
+
+    return wrapped
+
+
+def _pair(fx, fy):
+    def wrapped(*args):
+        return fx(*args), fy(*args)
+
+    return wrapped
+
+
+def symbolic_mms_fields() -> dict:
+    """Fields of the benchmark problem, derived and lambdified with sympy.
+
+    The keys are MMSProblem's field names; the source f is the PDE applied to
+    the exact solution, and the *_grad fields return (fx, fy) pairs.
+    """
+    t, l, x, y = sympy.symbols("t l x y", real=True)
+    a = sympy.Rational(1, 10)
+    eps = 1
+    b = (1, 1)
+    z = sympy.exp(-a * t) * sympy.sin(sympy.pi * l) * sympy.sin(sympy.pi * x) * sympy.sin(sympy.pi * y)
+    growth = sympy.Rational(1, 2) + 2 * (1 - l) * l
+
+    source = (
+        sympy.diff(z, t)
+        + growth * sympy.diff(z, l)
+        - eps * (sympy.diff(z, x, 2) + sympy.diff(z, y, 2))
+        + b[0] * sympy.diff(z, x)
+        + b[1] * sympy.diff(z, y)
+    )
+
+    def lam(args, expr, shape_arg):
+        return _broadcast_to_arg(sympy.lambdify(args, expr, modules="numpy"), shape_arg)
+
+    z_x, z_y = sympy.diff(z, x), sympy.diff(z, y)
+    return dict(
+        G=lam((l,), growth, 0),
+        f=lam((t, l, x, y), source, 2),
+        z_init=lam((l, x, y), z.subs(t, 0), 1),
+        z_init_grad=_pair(
+            lam((l, x, y), z_x.subs(t, 0), 1), lam((l, x, y), z_y.subs(t, 0), 1)
+        ),
+        z_bdry=lam((t, x, y), z.subs(l, 0), 1),
+        z_bdry_grad=_pair(
+            lam((t, x, y), z_x.subs(l, 0), 1), lam((t, x, y), z_y.subs(l, 0), 1)
+        ),
+        exact=lam((t, l, x, y), z, 2),
+        exact_grad=_pair(lam((t, l, x, y), z_x, 2), lam((t, l, x, y), z_y, 2)),
+    )

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import oracles
+import pbemoc
 from pbemoc.characteristics import CflViolationError
 from pbemoc.harness import (
     COUPLINGS,
@@ -50,14 +57,52 @@ def test_growth_rate_peaks_at_one(mms):
     assert vals.min() == pytest.approx(0.5, abs=1e-12)
 
 
-def test_fast_source_matches_symbolic_reference(mms):
+# argument names of every closed-form field besides the source
+CLOSED_FORM_ARGS = {
+    "G": "l",
+    "z_init": "lxy",
+    "z_init_grad": "lxy",
+    "z_bdry": "txy",
+    "z_bdry_grad": "txy",
+    "exact": "tlxy",
+    "exact_grad": "tlxy",
+}
+
+
+@pytest.fixture(scope="module")
+def symbolic():
+    return oracles.symbolic_mms_fields()
+
+
+def sample_arguments(names):
+    """Random points (x, y) with scalar and array values of l and t."""
     rng = np.random.default_rng(0)
     x, y = rng.uniform(0, 1, 400), rng.uniform(0, 1, 400)
-    for t in (0.0, 0.4, 1.0):
-        for l in (0.0, 0.3, 0.5, 1.0):
-            np.testing.assert_allclose(
-                mms.f(t, l, x, y), mms.f_reference(t, l, x, y), rtol=1e-12, atol=1e-13
-            )
+    for t in (0.0, 0.4, 1.0, rng.uniform(0, 1, 400)):
+        for l in (0.0, 0.3, 0.5, 1.0, rng.uniform(0, 1, 400)):
+            env = dict(t=t, l=l, x=x, y=y)
+            yield [env[a] for a in names]
+
+
+def test_fast_source_matches_symbolic_reference(mms, symbolic):
+    for args in sample_arguments("tlxy"):
+        np.testing.assert_allclose(mms.f(*args), symbolic["f"](*args), rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_ARGS))
+def test_closed_form_field_matches_symbolic_reference_bitwise(mms, symbolic, name):
+    for args in sample_arguments(CLOSED_FORM_ARGS[name]):
+        assert np.array_equal(getattr(mms, name)(*args), symbolic[name](*args))
+
+
+def test_import_does_not_load_sympy():
+    src = Path(pbemoc.__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, "-c", "import pbemoc, sys; assert 'sympy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True,
+        timeout=120,
+    )
 
 
 def test_source_satisfies_the_pde_by_finite_differences(mms):

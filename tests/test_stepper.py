@@ -4,6 +4,7 @@ import pytest
 from pbemoc.characteristics import CflViolationError, LGrid, TimeGrid
 from pbemoc.fem import SolverConfig
 from pbemoc.mesh import UNIT_SQUARE, build_structured_mesh, quadrature_rule, reference_basis
+from pbemoc.pipeline import run_pipeline
 from pbemoc.stepper import (
     ProblemSpec,
     boundary_slice,
@@ -323,6 +324,33 @@ def test_run_sequential_bitwise_deterministic(mms):
     a = run_sequential(mms, mesh, basis, lgrid, tgrid)
     b = run_sequential(mms, mesh, basis, lgrid, tgrid)
     assert a.as_matrix().tobytes() == b.as_matrix().tobytes()
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_source_and_inflow_see_the_same_step_time(mms, workers):
+    # 49 * (1/49) != 1.0 in floating point, so n*tau and a linspace time grid
+    # part at n = N; both fields of a level must be taken at one time
+    f_times, inflow_times = set(), set()
+
+    def f(t, l, x, y):
+        f_times.add(float(t))
+        return mms.f(t, l, x, y)
+
+    def z_bdry(t, x, y):
+        inflow_times.add(float(t))
+        return mms.z_bdry(t, x, y)
+
+    spec = make_spec(
+        G=mms.G, f=f, z_init=mms.z_init, z_init_grad=mms.z_init_grad,
+        z_bdry=z_bdry, z_bdry_grad=mms.z_bdry_grad,
+    )
+    mesh, basis, lgrid, tgrid = small_setup(M=4, N=49)
+    if workers is None:
+        run_sequential(spec, mesh, basis, lgrid, tgrid)
+    else:
+        run_pipeline(spec, mesh, basis, lgrid, tgrid, workers)
+    assert len(f_times) == tgrid.N
+    assert inflow_times - {0.0} == f_times
 
 
 def test_boundary_dofs_exactly_zero_and_slice_zero_is_inflow(mms):
