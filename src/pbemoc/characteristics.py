@@ -83,7 +83,8 @@ class TimeGrid:
 
     @cached_property
     def times(self) -> np.ndarray:
-        times = np.linspace(0.0, self.T, self.N + 1)
+        """Level times n * tau, the times at which the stepping evaluates data."""
+        times = np.arange(self.N + 1) * self.tau
         times.setflags(write=False)
         return times
 

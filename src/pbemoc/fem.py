@@ -60,11 +60,22 @@ class FieldSlice:
 
 
 class SolveFailure(RuntimeError):
-    """Linear solve did not reach the requested accuracy."""
+    """A solve did not reach the requested accuracy or produced non-finite values.
 
-    def __init__(self, message: str, residual: float | None = None):
+    n and m locate the failing slice (time level, internal index) when known.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        residual: float | None = None,
+        n: int | None = None,
+        m: int | None = None,
+    ):
         super().__init__(message)
         self.residual = residual
+        self.n = n
+        self.m = m
 
 
 @dataclass(frozen=True)
@@ -208,6 +219,11 @@ class LoadAssembler:
 
     def assemble_values(self, values: np.ndarray) -> np.ndarray:
         return self._matrix @ np.asarray(values, dtype=float).ravel()
+
+    def assemble_columns(self, values: np.ndarray) -> np.ndarray:
+        """Load vectors of k fields at once: values is (num_points, k), one field
+        per column; column j of the result equals assemble_values(values[:, j])."""
+        return self._matrix @ values
 
 
 class GradientLoadAssembler:

@@ -1,8 +1,10 @@
 """Pipelined execution over blocks of the internal-coordinate grid.
 
-Each of P workers owns a contiguous block of internal indices.  Transport
-moves information to the right only, so at every time step a worker needs
-exactly one slice from its left neighbour: the last slice of that block at
+Each of P workers owns a contiguous block of internal indices, holds it as
+one (rows, num_dofs) array, and advances it a level at a time with the block
+kernel of the sequential loop (stepper.advance_block).  Transport moves
+information to the right only, so at every time step a worker needs exactly
+one slice from its left neighbour: a copy of the last row of that block at
 the previous level.  Workers therefore form a linear pipeline connected by
 ordered single-producer channels; after a fill-in phase of at most P-1 steps
 all workers are busy simultaneously.
@@ -23,22 +25,20 @@ import threading
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable
 
 import numpy as np
 
 from .characteristics import CflViolationError, LGrid, TimeGrid, check_cfl
-from .fem import FieldSlice, SolverConfig
+from .fem import SolverConfig
 from .mesh import BasisSet, SpatialMesh
 from .stepper import (
     Operators,
     ProblemSpec,
     SolutionSurface,
-    _advance,
+    _advance_level,
     _check_compatibility,
-    _project_boundary,
-    _project_initial,
-    boundary_slice,
+    _initial_values,
+    _level_surface,
     precompute_operators,
 )
 
@@ -105,11 +105,11 @@ def partition(M: int, P: int) -> PipelinePlan:
 
 @dataclass(frozen=True)
 class BoundaryMessage:
-    """Last slice of a block, handed to the right neighbour after a step."""
+    """Values of a block's last slice at level n, handed to the right neighbour."""
 
     sender: int
     n: int
-    slice: FieldSlice
+    row: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,8 @@ class _Worker(threading.Thread):
         n_steps = eng.n_steps
         t0 = time.perf_counter()
         ctx = eng.worker_setup(self.p)
-        values = {m: eng.init_slice(ctx, m) for m in self.block}
+        values = eng.init_block(ctx, self.block)
+        spare = np.empty_like(values)
         self.busy += time.perf_counter() - t0
         self._send(0, values)
 
@@ -168,14 +169,8 @@ class _Worker(threading.Thread):
             self.current_step = n
             left = self._receive(n) if self.p > 0 else None
             t0 = time.perf_counter()
-            new = {}
-            for m in self.block:
-                if m == 0:
-                    new[m] = eng.boundary_slice(ctx, n)
-                else:
-                    prev_left = values[m - 1] if m - 1 in values else left
-                    new[m] = eng.advance_slice(ctx, n, m, prev_left, values[m])
-            values = new
+            eng.advance(ctx, n, left, values, self.block.start, spare)
+            values, spare = spare, values
             t1 = time.perf_counter()
             self.busy += t1 - t0
             self.spans.append((t0, t1))
@@ -186,7 +181,8 @@ class _Worker(threading.Thread):
         # level n feeds the neighbour's step n+1; the last level is never sent
         if self.p == self.engine.plan.P - 1 or n >= self.engine.n_steps:
             return
-        msg = BoundaryMessage(sender=self.p, n=n, slice=values[self.block.stop - 1])
+        # a copy: this worker writes into the same array again two steps later
+        msg = BoundaryMessage(sender=self.p, n=n, row=values[-1].copy())
         self.engine.links[self.p].put_nowait(msg)
         self.engine.count_message()
 
@@ -200,7 +196,7 @@ class _Worker(threading.Thread):
                 f"worker {self.p} at step {n} expected the level-{n - 1} slice "
                 f"from worker {self.p - 1}, got level {msg.n} from worker {msg.sender}"
             )
-        return msg.slice
+        return msg.row
 
     def _flush_abort(self):
         if self.p < self.engine.plan.P - 1:
@@ -212,16 +208,21 @@ class _Aborted(Exception):
 
 
 class _Engine:
-    """Wires workers, links, and the compute callbacks together."""
+    """Wires workers, links, and the compute callbacks together.
 
-    def __init__(self, plan: PipelinePlan, n_steps: int, worker_setup, init_slice,
-                 boundary_slice, advance_slice):
+    worker_setup(p) returns a worker's context; init_block(ctx, block) returns
+    the level-0 rows of a block as one array; advance(ctx, n, left, prev, m0,
+    out) fills out with the level-n rows of the block starting at index m0,
+    from its level-(n-1) rows prev and the neighbour's row left (None for the
+    first worker).
+    """
+
+    def __init__(self, plan: PipelinePlan, n_steps: int, worker_setup, init_block, advance):
         self.plan = plan
         self.n_steps = n_steps
         self.worker_setup = worker_setup
-        self.init_slice = init_slice
-        self.boundary_slice = boundary_slice
-        self.advance_slice = advance_slice
+        self.init_block = init_block
+        self.advance = advance
         # capacity covers every message the link can carry plus an abort token
         self.links = [queue.Queue(maxsize=n_steps + 1) for _ in range(plan.P - 1)]
         self._sent = 0
@@ -245,12 +246,9 @@ class _Engine:
                 p, n, exc = w.failure
                 raise PipelineError(p, n, exc) from exc
 
-        values = {}
-        for w in workers:
-            values.update(w.final)
-        surface = SolutionSurface(self.n_steps, tuple(values[m] for m in range(self.plan.M + 1)))
+        values = np.concatenate([w.final for w in workers])
         return values, PipelineRun(
-            surface=surface,
+            surface=_level_surface(self.n_steps, values),
             plan=self.plan,
             wall_seconds=wall,
             worker_busy_seconds=[w.busy for w in workers],
@@ -286,15 +284,10 @@ def run_pipeline(
         # each worker factorizes privately; matrices and caches are shared read-only
         return shared.fork()
 
-    def init_slice(ops: Operators, m: int) -> FieldSlice:
-        if m == 0:
-            return _project_boundary(ops.projector, spec, 0.0, 0)
-        return _project_initial(ops.projector, spec, float(lgrid.nodes[m]), m)
+    def init_block(ops: Operators, block: range) -> np.ndarray:
+        return np.stack([_initial_values(ops.projector, spec, lgrid, m) for m in block])
 
-    def boundary(ops: Operators, n: int) -> FieldSlice:
-        return boundary_slice(n, tgrid, mesh, basis, spec, ops)
-
-    engine = _Engine(plan, tgrid.N, worker_setup, init_slice, boundary, _advance)
+    engine = _Engine(plan, tgrid.N, worker_setup, init_block, _advance_level)
     _, run = engine.execute()
     return run
 

@@ -5,6 +5,10 @@ quadrature rule constants: shape functions are built by inverting a monomial
 Vandermonde matrix, assembly is plain Python loops into dense matrices, the
 affine map is applied through explicit 2x2 solves, systems are solved with
 numpy's dense LU, and the benchmark problem is derived symbolically with sympy.
+
+The one exception is `advance_slice_reference`: the per-slice arithmetic of
+one time step on the package's own operators, kept as the bitwise reference
+for the block kernel `stepper.advance_block`.
 """
 
 from __future__ import annotations
@@ -270,3 +274,20 @@ def symbolic_mms_fields() -> dict:
         exact=lam((t, l, x, y), z, 2),
         exact_grad=_pair(lam((t, l, x, y), z_x, 2), lam((t, l, x, y), z_y, 2)),
     )
+
+
+def advance_slice_reference(ops, n: int, m: int, prev_left, prev_same):
+    """Slice (n, m) from its two level-(n-1) neighbours, one slice at a time.
+
+    The order of the floating point operations is the one the block kernel
+    must reproduce: blend, mass product scaled by 1/tau, plus the source load,
+    boundary rows zeroed, one single-RHS solve.
+    """
+    alpha = float(ops.alphas[m])
+    ztilde = alpha * prev_left + (1.0 - alpha) * prev_same
+    t = n * ops.tau
+    l_m = float(ops.lgrid.nodes[m])
+    load = ops.load.assemble_values(ops.spec.f(t, l_m, ops.load.x, ops.load.y))
+    rhs = (ops.mass @ ztilde) * (1.0 / ops.tau) + load
+    rhs[ops.boundary_idx] = 0.0
+    return ops.solve_system(rhs)

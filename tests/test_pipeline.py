@@ -117,22 +117,24 @@ def synthetic_engine(P, M, N, stage_cost=0.0, fail_at=None):
     def setup(p):
         return p
 
-    def init_slice(p, m):
-        return float(m)
+    def init_block(p, block):
+        return np.array([[float(m)] for m in block])
 
-    def boundary(p, n):
-        if stage_cost:
-            time.sleep(stage_cost)  # same cost as an interior slice
-        return 0.0
+    def advance(p, n, left, prev, m0, out):
+        # row by row, so the cost and a fault belong to one slice (p, n, m)
+        for i, m in enumerate(range(m0, m0 + len(prev))):
+            if m == 0:
+                if stage_cost:
+                    time.sleep(stage_cost)  # same cost as an interior slice
+                out[i] = 0.0
+                continue
+            if fail_at is not None and (p, n, m) == fail_at:
+                raise RuntimeError("injected fault")
+            if stage_cost:
+                time.sleep(stage_cost)
+            out[i] = (prev[i - 1] if i > 0 else left) + prev[i]  # depends on both inputs
 
-    def advance(p, n, m, left, same):
-        if fail_at is not None and (p, n, m) == fail_at:
-            raise RuntimeError("injected fault")
-        if stage_cost:
-            time.sleep(stage_cost)
-        return left + same  # value depends on both inputs
-
-    return _Engine(plan, N, setup, init_slice, boundary, advance)
+    return _Engine(plan, N, setup, init_block, advance)
 
 
 def test_synthetic_engine_matches_serial_recurrence():
@@ -145,7 +147,8 @@ def test_synthetic_engine_matches_serial_recurrence():
         for m in range(1, M + 1):
             new[m] = serial[m - 1] + serial[m]
         serial = new
-    assert values == serial
+    assert values.shape == (M + 1, 1)
+    assert values[:, 0].tolist() == [serial[m] for m in range(M + 1)]
     assert stats.messages_sent == (P - 1) * N
 
 
@@ -163,7 +166,7 @@ def test_out_of_order_message_rejected():
     from pbemoc.pipeline import _Worker
 
     worker = _Worker(engine, 1)
-    engine.links[0].put_nowait(BoundaryMessage(sender=0, n=2, slice=1.0))
+    engine.links[0].put_nowait(BoundaryMessage(sender=0, n=2, row=np.array([1.0])))
     with pytest.raises(ProtocolError, match="expected the level-0"):
         worker._receive(1)
 

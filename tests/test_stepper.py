@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from pbemoc.characteristics import CflViolationError, LGrid, TimeGrid
-from pbemoc.fem import SolverConfig
+from pbemoc.fem import FieldSlice, SolveFailure, SolverConfig
 from pbemoc.mesh import UNIT_SQUARE, build_structured_mesh, quadrature_rule, reference_basis
-from pbemoc.pipeline import run_pipeline
+from pbemoc.pipeline import PipelineError, run_pipeline
 from pbemoc.stepper import (
     ProblemSpec,
+    SolutionSurface,
+    advance_block,
     boundary_slice,
     initialize,
     precompute_operators,
@@ -254,6 +256,130 @@ def test_step_slice_matches_dense_oracle(mms):
     system_bc, rhs_bc = oracles.dense_eliminate(system, rhs, mesh.boundary_mask)
     expected = oracles.dense_solve(system_bc, rhs_bc)
     assert np.abs(got - expected).max() <= 1e-10
+
+
+def per_slice_level(ops, n, prev):
+    """Level n rows 1..M by the per-slice oracle, from the level-(n-1) rows."""
+    return np.stack([
+        oracles.advance_slice_reference(ops, n, m, prev[m - 1], prev[m])
+        for m in range(1, prev.shape[0])
+    ])
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_advance_block_matches_per_slice_oracle_bitwise(mms, order):
+    M, n = 12, 3
+    mesh, basis, lgrid, tgrid = small_setup(M=M, N=M, order=order)
+    ops = precompute_operators(mesh, basis, mms, tgrid.tau, lgrid)
+    prev = np.random.default_rng(order).normal(size=(M + 1, mesh.num_nodes))
+    expected = per_slice_level(ops, n, prev)
+    for m0 in (1, 2, 5, M):
+        for k in range(1, M - m0 + 2):
+            out = np.empty((k, mesh.num_nodes))
+            advance_block(ops, n, prev[m0 - 1], prev[m0:m0 + k], m0, out)
+            assert out.tobytes() == expected[m0 - 1:m0 - 1 + k].tobytes(), (m0, k)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_advance_block_across_chunks_matches_per_slice_oracle_bitwise(mms, order):
+    # a level of several full chunks and a remainder chunk
+    M, n = 1400, 2
+    mesh = build_structured_mesh(UNIT_SQUARE, 0.5, order)
+    lgrid = LGrid(0.0, 1.0, M)
+    ops = precompute_operators(mesh, reference_basis(order), mms, 0.5 / M, lgrid)
+    rows = ops._workspace().rows
+    assert M > rows and M % rows != 0
+    prev = np.random.default_rng(10 + order).normal(size=(M + 1, mesh.num_nodes))
+    expected = per_slice_level(ops, n, prev)
+    for m0 in (1, 3):
+        out = np.empty((M - m0 + 1, mesh.num_nodes))
+        advance_block(ops, n, prev[m0 - 1], prev[m0:], m0, out)
+        assert out.tobytes() == expected[m0 - 1:].tobytes()
+
+
+def test_advance_block_empty_block_is_a_no_op(mms):
+    mesh, basis, lgrid, tgrid = small_setup()
+    ops = precompute_operators(mesh, basis, mms, tgrid.tau, lgrid)
+    out = np.empty((0, mesh.num_nodes))
+    advance_block(ops, 1, np.zeros(mesh.num_nodes), out.copy(), lgrid.M + 1, out)
+
+
+def test_run_sequential_solves_once_per_slice(mms):
+    mesh, basis, lgrid, tgrid = small_setup(M=5, N=6)
+    ops = precompute_operators(mesh, basis, mms, tgrid.tau, lgrid)
+    solve, calls = ops.solve_system, []
+
+    def counting(rhs):
+        calls.append(rhs.shape)
+        return solve(rhs)
+
+    ops.solve_system = counting
+    out = run_sequential(mms, mesh, basis, lgrid, tgrid, operators=ops)
+    assert len(calls) == lgrid.M * tgrid.N
+    assert set(calls) == {(mesh.num_nodes,)}  # one right-hand side per call
+    plain = run_sequential(mms, mesh, basis, lgrid, tgrid)
+    assert out.as_matrix().tobytes() == plain.as_matrix().tobytes()
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_non_finite_source_raises_with_step_and_slice(mms, workers):
+    # a NaN source at (n, m) = (2, 3) poisons exactly that slice of level 2
+    def f(t, l, x, y):
+        values = mms.f(t, l, x, y)
+        return np.full_like(values, np.nan) if (t, l) == (0.5, 0.75) else values
+
+    spec = make_spec(
+        G=mms.G, f=f, z_init=mms.z_init, z_init_grad=mms.z_init_grad,
+        z_bdry=mms.z_bdry, z_bdry_grad=mms.z_bdry_grad,
+    )
+    mesh, basis, lgrid, tgrid = small_setup(M=4, N=4)
+    if workers is None:
+        with pytest.raises(SolveFailure) as err:
+            run_sequential(spec, mesh, basis, lgrid, tgrid)
+        failure = err.value
+    else:
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(spec, mesh, basis, lgrid, tgrid, workers)
+        assert (err.value.worker, err.value.step) == (1, 2)  # blocks 0..2 and 3..4
+        failure = err.value.cause
+        assert isinstance(failure, SolveFailure)
+    assert (failure.n, failure.m) == (2, 3)
+    assert "m=3" in str(failure) and "n=2" in str(failure)
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_non_finite_inflow_at_the_last_step_raises(mms, workers):
+    # the inflow slice of level N feeds no later slice, so only its own check sees it
+    def z_bdry_grad(t, x, y):
+        gx, gy = mms.z_bdry_grad(t, x, y)
+        return (np.full_like(gx, np.nan), gy) if t == 1.0 else (gx, gy)
+
+    spec = make_spec(
+        G=mms.G, f=mms.f, z_init=mms.z_init, z_init_grad=mms.z_init_grad,
+        z_bdry=mms.z_bdry, z_bdry_grad=z_bdry_grad,
+    )
+    mesh, basis, lgrid, tgrid = small_setup(M=4, N=4)
+    if workers is None:
+        with pytest.raises(SolveFailure) as err:
+            run_sequential(spec, mesh, basis, lgrid, tgrid)
+        failure = err.value
+    else:
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(spec, mesh, basis, lgrid, tgrid, workers)
+        assert (err.value.worker, err.value.step) == (0, tgrid.N)
+        failure = err.value.cause
+    assert (failure.n, failure.m) == (tgrid.N, 0)
+
+
+def test_step_slice_raises_on_non_finite_input(mms):
+    mesh, basis, lgrid, tgrid = small_setup()
+    ops = precompute_operators(mesh, basis, mms, tgrid.tau, lgrid)
+    surface = initialize(mesh, basis, mms, lgrid, ops)
+    bad = surface.as_matrix()
+    bad[1, 7] = np.inf
+    poisoned = SolutionSurface(0, tuple(FieldSlice(v, n=0, m=m) for m, v in enumerate(bad)))
+    with pytest.raises(SolveFailure, match="m=2 at step n=1"):
+        step_slice(poisoned, 2, 1, ops)
 
 
 def test_constant_growth_rate_no_l_dependence_gives_identical_slices():
