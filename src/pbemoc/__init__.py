@@ -53,7 +53,6 @@ from .mesh import (
     reference_basis,
 )
 from .pipeline import (
-    BoundaryMessage,
     PipelineError,
     PipelinePlan,
     PipelineRun,

@@ -384,7 +384,6 @@ class RitzProjector:
     ):
         self.mesh = mesh
         self.basis = basis
-        self._config = solver_config
         a0 = assemble_stiffness(mesh, basis, 1.0)
         self.matrix, _ = apply_dirichlet(a0, np.zeros(mesh.num_nodes), mesh.boundary_mask)
         self._solver = make_solver(self.matrix, solver_config)
@@ -393,16 +392,9 @@ class RitzProjector:
         self._by = mesh.nodes[mesh.boundary_mask, 1]
         self._interior = ~mesh.boundary_mask
 
-    def fork(self):
-        """Clone with a private factorization; assembled data is shared read-only."""
-        other = object.__new__(RitzProjector)
-        other.__dict__.update(self.__dict__)
-        other._solver = make_solver(self.matrix, self._config)
-        return other
-
     def project(self, g: Callable, g_grad: Callable) -> np.ndarray:
         trace = np.max(np.abs(np.asarray(g(self._bx, self._by), dtype=float)))
-        if trace > TRACE_TOL:
+        if not trace <= TRACE_TOL:  # NaN fails this test, not the reverse one
             raise ValueError(
                 f"projected data must vanish on the boundary; found trace {trace:.3e}"
             )

@@ -14,7 +14,6 @@ studies sweep the worker count.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -86,7 +85,6 @@ def _fast_mms_source() -> Callable:
     pi = np.pi
     prefactor = 2.0 * pi * pi - DECAY_RATE
     slot: list = [None]
-    lock = threading.Lock()
 
     def source(t, l, x, y):
         entry = slot[0]
@@ -94,8 +92,7 @@ def _fast_mms_source() -> Callable:
             sx, cx = np.sin(pi * np.asarray(x, dtype=float)), np.cos(pi * np.asarray(x, dtype=float))
             sy, cy = np.sin(pi * np.asarray(y, dtype=float)), np.cos(pi * np.asarray(y, dtype=float))
             entry = (x, y, sx * sy, cx * sy + sx * cy)
-            with lock:
-                slot[0] = entry
+            slot[0] = entry
         sxy, cxy = entry[2], entry[3]
         growth = 0.5 + 2.0 * (1.0 - l) * l
         sin_l, cos_l = np.sin(pi * l), np.cos(pi * l)

@@ -4,32 +4,44 @@ Each of P workers owns a contiguous block of internal indices, holds it as
 one (rows, num_dofs) array, and advances it a level at a time with the block
 kernel of the sequential loop (stepper.advance_block).  Transport moves
 information to the right only, so at every time step a worker needs exactly
-one slice from its left neighbour: a copy of the last row of that block at
-the previous level.  Workers therefore form a linear pipeline connected by
-ordered single-producer channels; after a fill-in phase of at most P-1 steps
-all workers are busy simultaneously.
+one slice from its left neighbour: the last row of that block at the
+previous level.  Workers therefore form a linear pipeline; after a fill-in
+phase of at most P-1 steps all workers are busy simultaneously.
 
-Workers run as in-process threads with exactly-once, in-order message
-delivery.  Channel capacity equals the total number of messages a link can
-ever carry, so sends never block and the acyclic left-to-right dependency
-makes deadlock impossible.  Every worker performs the same floating point
-operations as the sequential loop, so the assembled result is bitwise equal
-to the sequential one under the direct solver.
+Workers are processes forked from the caller, so each inherits the
+assembled operators and their factorizations copy-on-write: nothing is
+pickled or factorized again.  Neighbours are joined by a one-way pipe; a
+message is one float64 buffer holding the sender and the level ahead of the
+row, read into a preallocated buffer on the other side.  The dependency
+between workers is acyclic, so a send that blocks on a full pipe only waits
+for a neighbour that is still computing, and the pipeline cannot deadlock.
+Each worker sends its final block, busy time, step spans and message count
+back over a result pipe of its own.  Every worker performs the same floating
+point operations as the sequential loop, so the assembled result is bitwise
+equal to the sequential one under the direct solver.
+
+A failing worker reports its error; a worker that dies without a report is
+seen through its process sentinel, and its step is read from a shared
+array.  The caller then stops the other workers and raises PipelineError for
+the root cause: a worker that only lost the link to a failed neighbour is
+never reported in its place.  Forking needs a POSIX platform.
 """
 
 from __future__ import annotations
 
+import mmap
+import multiprocessing
 import os
-import queue
-import threading
+import pickle
+import signal
 import time
 from dataclasses import dataclass
-from types import SimpleNamespace
+from multiprocessing.connection import wait
 
 import numpy as np
 
 from .characteristics import CflViolationError, LGrid, TimeGrid, check_cfl
-from .fem import SolverConfig
+from .fem import RitzProjector, SolverConfig
 from .mesh import BasisSet, SpatialMesh
 from .stepper import (
     Operators,
@@ -44,7 +56,6 @@ from .stepper import (
 
 __all__ = [
     "PipelinePlan",
-    "BoundaryMessage",
     "PipelineRun",
     "ScalingRow",
     "PipelineError",
@@ -53,6 +64,9 @@ __all__ = [
     "run_pipeline",
     "timing_report",
 ]
+
+# a message is [sender, level, row...] as float64
+HEADER = 2
 
 
 class PipelineError(RuntimeError):
@@ -67,6 +81,10 @@ class PipelineError(RuntimeError):
 
 class ProtocolError(RuntimeError):
     """A message arrived out of order or from the wrong sender."""
+
+
+class _LinkLost(RuntimeError):
+    """A neighbour closed its end of a link, so that neighbour failed first."""
 
 
 @dataclass(frozen=True)
@@ -103,23 +121,6 @@ def partition(M: int, P: int) -> PipelinePlan:
     return PipelinePlan(P=P, blocks=tuple(blocks))
 
 
-@dataclass(frozen=True)
-class BoundaryMessage:
-    """Values of a block's last slice at level n, handed to the right neighbour."""
-
-    sender: int
-    n: int
-    row: np.ndarray
-
-
-@dataclass(frozen=True)
-class _Abort:
-    """Sentinel flushed downstream when a worker dies."""
-
-    worker: int
-    step: int
-
-
 @dataclass(eq=False)
 class PipelineRun:
     """Result of a pipelined run: final surface plus timing and traffic counters."""
@@ -132,42 +133,38 @@ class PipelineRun:
     step_spans: list  # per worker: [(start, end), ...]
 
 
-class _Worker(threading.Thread):
-    """One pipeline stage: owns a block, advances it level by level."""
+class _Worker:
+    """One pipeline stage, run in a forked process: owns a block, advances it level by level.
 
-    def __init__(self, engine, p: int):
-        super().__init__(name=f"pipeline-worker-{p}", daemon=True)
+    inbox is the reading end of the link from worker p-1 and outbox the
+    writing end of the link to worker p+1 (None at either end of the
+    pipeline); message is the buffer both are read into and sent from.
+    """
+
+    def __init__(self, engine, p: int, inbox, outbox):
         self.engine = engine
         self.p = p
         self.block = engine.plan.blocks[p]
+        self.inbox = inbox
+        self.outbox = outbox
+        self.message = None
         self.busy = 0.0
         self.spans = []
-        self.final = None
-        self.failure = None
-        self.current_step = 0
+        self.sent = 0
 
-    def run(self):
-        try:
-            self._run()
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported to the caller
-            self.failure = (self.p, self.current_step, exc)
-            self._flush_abort()
-
-    def _run(self):
+    def run(self) -> np.ndarray:
         eng = self.engine
-        n_steps = eng.n_steps
         t0 = time.perf_counter()
         ctx = eng.worker_setup(self.p)
         values = eng.init_block(ctx, self.block)
         spare = np.empty_like(values)
+        self.message = np.empty(HEADER + values.shape[1])
         self.busy += time.perf_counter() - t0
         self._send(0, values)
 
-        for n in range(1, n_steps + 1):
-            self.current_step = n
-            left = self._receive(n) if self.p > 0 else None
+        for n in range(1, eng.n_steps + 1):
+            eng.steps[self.p] = n
+            left = self._receive(n) if self.inbox is not None else None
             t0 = time.perf_counter()
             eng.advance(ctx, n, left, values, self.block.start, spare)
             values, spare = spare, values
@@ -175,46 +172,51 @@ class _Worker(threading.Thread):
             self.busy += t1 - t0
             self.spans.append((t0, t1))
             self._send(n, values)
-        self.final = values
+        return values
 
-    def _send(self, n: int, values) -> None:
+    def _send(self, n: int, values: np.ndarray) -> None:
         # level n feeds the neighbour's step n+1; the last level is never sent
-        if self.p == self.engine.plan.P - 1 or n >= self.engine.n_steps:
+        if self.outbox is None or n >= self.engine.n_steps:
             return
-        # a copy: this worker writes into the same array again two steps later
-        msg = BoundaryMessage(sender=self.p, n=n, row=values[-1].copy())
-        self.engine.links[self.p].put_nowait(msg)
-        self.engine.count_message()
+        msg = self.message
+        msg[0], msg[1] = self.p, n
+        msg[HEADER:] = values[-1]
+        try:
+            self.outbox.send_bytes(msg)
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            raise _LinkLost(f"worker {self.p + 1} closed its link") from exc
+        self.sent += 1
 
-    def _receive(self, n: int):
-        msg = self.engine.links[self.p - 1].get()
-        if isinstance(msg, _Abort):
-            self._flush_abort()
-            raise _Aborted()
-        if msg.sender != self.p - 1 or msg.n != n - 1:
+    def _receive(self, n: int) -> np.ndarray:
+        msg = self.message
+        try:
+            size = self.inbox.recv_bytes_into(msg)
+        except EOFError as exc:
+            raise _LinkLost(f"worker {self.p - 1} closed its link") from exc
+        except multiprocessing.BufferTooShort as exc:  # carries the whole message
+            size = len(exc.args[0])
+        if size != msg.nbytes:
+            raise ProtocolError(
+                f"worker {self.p} at step {n} got a {size}-byte message, expected {msg.nbytes}"
+            )
+        sender, level = int(msg[0]), int(msg[1])
+        if sender != self.p - 1 or level != n - 1:
             raise ProtocolError(
                 f"worker {self.p} at step {n} expected the level-{n - 1} slice "
-                f"from worker {self.p - 1}, got level {msg.n} from worker {msg.sender}"
+                f"from worker {self.p - 1}, got level {level} from worker {sender}"
             )
-        return msg.row
-
-    def _flush_abort(self):
-        if self.p < self.engine.plan.P - 1:
-            self.engine.links[self.p].put_nowait(_Abort(self.p, self.current_step))
-
-
-class _Aborted(Exception):
-    pass
+        return msg[HEADER:]
 
 
 class _Engine:
-    """Wires workers, links, and the compute callbacks together.
+    """Forks the workers, wires their links, and gathers their results.
 
     worker_setup(p) returns a worker's context; init_block(ctx, block) returns
     the level-0 rows of a block as one array; advance(ctx, n, left, prev, m0,
     out) fills out with the level-n rows of the block starting at index m0,
     from its level-(n-1) rows prev and the neighbour's row left (None for the
-    first worker).
+    first worker).  The callbacks run in the worker processes; whatever they
+    close over is inherited through the fork.
     """
 
     def __init__(self, plan: PipelinePlan, n_steps: int, worker_setup, init_block, advance):
@@ -223,38 +225,135 @@ class _Engine:
         self.worker_setup = worker_setup
         self.init_block = init_block
         self.advance = advance
-        # capacity covers every message the link can carry plus an abort token
-        self.links = [queue.Queue(maxsize=n_steps + 1) for _ in range(plan.P - 1)]
-        self._sent = 0
-        self._sent_lock = threading.Lock()
-
-    def count_message(self):
-        with self._sent_lock:
-            self._sent += 1
+        self.steps = None  # each worker's current step, in memory shared with the workers
 
     def execute(self):
+        mp = _fork_context()
+        P = self.plan.P
+        # an anonymous mapping stays shared across fork
+        self.steps = np.frombuffer(mmap.mmap(-1, 8 * P), dtype=np.int64)
+        links = [mp.Pipe(duplex=False) for _ in range(P - 1)]  # (reader, writer) from p to p+1
+        results = [mp.Pipe(duplex=False) for _ in range(P)]
+        readers = [reader for reader, _ in results]
+        procs = []
         t_start = time.perf_counter()
-        workers = [_Worker(self, p) for p in range(self.plan.P)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
+        try:
+            for p in range(P):
+                proc = mp.Process(
+                    target=self._child,
+                    args=(p, links, results),
+                    name=f"pipeline-worker-{p}",
+                    daemon=True,
+                )
+                proc.start()
+                procs.append(proc)
+            # only the workers may hold link ends, so a worker's death closes its links
+            for reader, writer in links:
+                reader.close()
+                writer.close()
+            for _, writer in results:
+                writer.close()
+            reports = self._gather(procs, readers)
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    proc.terminate()
+            for proc in procs:
+                proc.join()
+            for reader in readers:
+                reader.close()
         wall = time.perf_counter() - t_start
 
-        for w in workers:
-            if w.failure is not None:
-                p, n, exc = w.failure
-                raise PipelineError(p, n, exc) from exc
-
-        values = np.concatenate([w.final for w in workers])
+        values = np.concatenate([r[0] for r in reports])
         return values, PipelineRun(
             surface=_level_surface(self.n_steps, values),
             plan=self.plan,
             wall_seconds=wall,
-            worker_busy_seconds=[w.busy for w in workers],
-            messages_sent=self._sent,
-            step_spans=[w.spans for w in workers],
+            worker_busy_seconds=[r[1] for r in reports],
+            messages_sent=sum(r[3] for r in reports),
+            step_spans=[r[2] for r in reports],
         )
+
+    def _child(self, p: int, links, results) -> None:
+        """Body of worker process p."""
+        inbox = links[p - 1][0] if p > 0 else None
+        outbox = links[p][1] if p < self.plan.P - 1 else None
+        report = results[p][1]
+        for pair in links + results:
+            for conn in pair:
+                if conn is not inbox and conn is not outbox and conn is not report:
+                    conn.close()
+        worker = _Worker(self, p, inbox, outbox)
+        try:
+            values = worker.run()
+            message = ("done", (values, worker.busy, worker.spans, worker.sent))
+        except Exception as exc:  # noqa: BLE001 - reported to the caller
+            message = ("failed", _portable(exc))
+        # sent before this process exits and closes its links, so a neighbour
+        # that loses a link always fails after the root cause has been reported
+        report.send(message)
+
+    def _gather(self, procs, readers) -> list:
+        """Every worker's (values, busy, spans, sent); PipelineError at the first failure."""
+        reports = [None] * self.plan.P
+        pending = set(range(self.plan.P))
+        while pending:
+            waiting = {readers[p]: p for p in pending}
+            waiting.update({procs[p].sentinel: p for p in pending})
+            for p in sorted({waiting[obj] for obj in wait(list(waiting))}):
+                pending.discard(p)
+                kind, payload = _read_report(readers[p], procs[p])
+                if kind != "done":
+                    self._fail(procs, readers, pending, {p: payload})
+                reports[p] = payload
+        return reports
+
+    def _fail(self, procs, readers, pending, failures):
+        """Stop every pending worker, then raise PipelineError for the root cause."""
+        for p in pending:
+            if procs[p].is_alive():
+                procs[p].terminate()
+        for p in pending:
+            procs[p].join()
+            kind, payload = _read_report(readers[p], procs[p])
+            # a worker this call terminated has no failure of its own
+            if kind == "failed" or (kind == "exited" and procs[p].exitcode != -signal.SIGTERM):
+                failures[p] = payload
+        roots = [p for p, exc in failures.items() if not isinstance(exc, _LinkLost)]
+        p = min(roots or failures)
+        cause = failures[p]
+        raise PipelineError(p, int(self.steps[p]), cause) from cause
+
+
+def _read_report(reader, proc) -> tuple:
+    """("done" | "failed", payload) as the worker sent it, or ("exited", error) without one."""
+    try:
+        if reader.poll():
+            return reader.recv()
+    except (EOFError, OSError):
+        pass
+    proc.join()
+    return "exited", RuntimeError(
+        f"worker process exited with code {proc.exitcode} without a result"
+    )
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """exc if it survives pickling, else a RuntimeError holding its repr."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:  # noqa: BLE001 - any pickling failure
+        return RuntimeError(repr(exc))
+
+
+def _fork_context():
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise RuntimeError(
+            "the pipeline forks its workers and needs the 'fork' start method (POSIX); "
+            "use run_sequential on this platform"
+        )
+    return multiprocessing.get_context("fork")
 
 
 def run_pipeline(
@@ -266,36 +365,27 @@ def run_pipeline(
     P: int,
     solver_config: SolverConfig | None = None,
 ) -> PipelineRun:
-    """Advance the surface to t=T with P pipelined workers over the internal grid."""
+    """Advance the surface to t=T with P pipelined worker processes over the internal grid."""
     cfl = check_cfl(tgrid.tau, lgrid, spec.G, require_positive=False)
     if not cfl.passed:
         raise CflViolationError(cfl.describe())
     plan = partition(lgrid.M, P)
     _check_compatibility(spec, mesh, lgrid)
 
-    if tgrid.N == 0:
-        shared = None
+    # built once here; the workers inherit them through the fork
+    ops = None  # N = 0 needs only the projections of the level-0 rows
+    if tgrid.N > 0:
+        ops = precompute_operators(mesh, basis, spec, tgrid.tau, lgrid, solver_config)
+        projector = ops.projector
     else:
-        shared = precompute_operators(mesh, basis, spec, tgrid.tau, lgrid, solver_config)
+        projector = RitzProjector(mesh, basis, solver_config=solver_config)
 
-    def worker_setup(p: int):
-        if shared is None:  # no stepping: only the projector is needed
-            return SimpleNamespace(projector=_fresh_projector(mesh, basis, solver_config))
-        # each worker factorizes privately; matrices and caches are shared read-only
-        return shared.fork()
+    def init_block(ops: Operators | None, block: range) -> np.ndarray:
+        return np.stack([_initial_values(projector, spec, lgrid, m) for m in block])
 
-    def init_block(ops: Operators, block: range) -> np.ndarray:
-        return np.stack([_initial_values(ops.projector, spec, lgrid, m) for m in block])
-
-    engine = _Engine(plan, tgrid.N, worker_setup, init_block, _advance_level)
+    engine = _Engine(plan, tgrid.N, lambda p: ops, init_block, _advance_level)
     _, run = engine.execute()
     return run
-
-
-def _fresh_projector(mesh, basis, solver_config):
-    from .fem import RitzProjector
-
-    return RitzProjector(mesh, basis, solver_config=solver_config)
 
 
 @dataclass(frozen=True)

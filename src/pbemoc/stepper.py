@@ -23,7 +23,6 @@ non-finite value raises SolveFailure carrying (n, m).
 
 from __future__ import annotations
 
-import copy
 import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -121,8 +120,8 @@ class SolutionSurface:
 class Operators:
     """Assembled matrices, factorizations, and quadrature caches for one run.
 
-    fork() yields a view with private factorizations and work buffers over the
-    shared matrices, so concurrent workers never touch a common factor object.
+    The kernel buffers are allocated on first use, so each pipeline worker
+    process, which inherits the operators through fork, allocates its own.
     """
 
     def __init__(
@@ -141,7 +140,6 @@ class Operators:
         self.spec = spec
         self.tau = tau
         self.lgrid = lgrid
-        self.config = solver_config
 
         self.mass = assemble_mass(mesh, basis)
         stiffness = assemble_stiffness(mesh, basis, spec.epsilon)
@@ -164,13 +162,6 @@ class Operators:
     def solve_system(self, rhs: np.ndarray) -> np.ndarray:
         return self._solver.solve(rhs)
 
-    def fork(self) -> "Operators":
-        other = copy.copy(self)
-        other._solver = make_solver(self.system_bc, self.config)
-        other.projector = self.projector.fork()
-        other._work = None
-        return other
-
     def _workspace(self) -> "_Workspace":
         if self._work is None:
             self._work = _Workspace(self)
@@ -192,7 +183,7 @@ def precompute_operators(
 def _check_compatibility(spec: ProblemSpec, mesh: SpatialMesh, lgrid: LGrid) -> None:
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     gap = np.max(np.abs(spec.z_init(lgrid.l_min, x, y) - spec.z_bdry(0.0, x, y)))
-    if gap > COMPAT_TOL:
+    if not gap <= COMPAT_TOL:  # NaN fails this test, not the reverse one
         raise ValueError(
             f"initial and inflow data disagree at t=0, l=l_min: max gap {gap:.3e}"
         )

@@ -397,3 +397,12 @@ def test_field_slice_is_read_only():
     with pytest.raises(ValueError):
         s.values[0] = 9.0
     assert len(s) == 4
+
+
+def test_ritz_projection_rejects_nan_trace():
+    # NaN compares false against the tolerance, so the check must not read `trace > tol`
+    mesh = build_structured_mesh(UNIT_SQUARE, 0.25, 1)
+    g, grad = sin_field()
+    g_nan = lambda x, y: np.where(np.isclose(x, 0.0), np.nan, g(x, y))
+    with pytest.raises(ValueError, match="vanish"):
+        ritz_projection(mesh, P1, g_nan, grad)

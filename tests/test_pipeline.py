@@ -1,3 +1,6 @@
+import faulthandler
+import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -7,15 +10,25 @@ from pbemoc.characteristics import LGrid, TimeGrid
 from pbemoc.fem import SolverConfig
 from pbemoc.mesh import UNIT_SQUARE, build_structured_mesh, reference_basis
 from pbemoc.pipeline import (
-    BoundaryMessage,
+    HEADER,
     PipelineError,
     ProtocolError,
     _Engine,
+    _Worker,
     partition,
     run_pipeline,
     timing_report,
 )
 from pbemoc.stepper import run_sequential
+
+
+@pytest.fixture(autouse=True)
+def hang_guard():
+    # a deadlocked pipeline dumps every thread's stack and ends the run
+    # instead of stalling it
+    faulthandler.dump_traceback_later(120, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +124,8 @@ def test_pipeline_n_zero_matches_initialization(mms):
 # engine behaviour on a synthetic fixed-cost stage
 
 
-def synthetic_engine(P, M, N, stage_cost=0.0, fail_at=None):
+def synthetic_engine(P, M, N, stage_cost=0.0, fail_at=None, exit_at=None):
+    # fail_at raises in slice (p, n, m); exit_at ends the worker process there
     plan = partition(M, P)
 
     def setup(p):
@@ -130,6 +144,8 @@ def synthetic_engine(P, M, N, stage_cost=0.0, fail_at=None):
                 continue
             if fail_at is not None and (p, n, m) == fail_at:
                 raise RuntimeError("injected fault")
+            if exit_at is not None and (p, n, m) == exit_at:
+                os._exit(1)
             if stage_cost:
                 time.sleep(stage_cost)
             out[i] = (prev[i - 1] if i > 0 else left) + prev[i]  # depends on both inputs
@@ -160,15 +176,105 @@ def test_worker_failure_reports_context():
     assert err.value.step == 2
 
 
-def test_out_of_order_message_rejected():
-    # drive the receive check directly with a wrong-level message
-    engine = synthetic_engine(2, 4, 3)
-    from pbemoc.pipeline import _Worker
+def test_failure_reports_the_root_cause_not_a_downstream_worker():
+    # worker 2 of 3 loses its link when worker 1 fails; only worker 1 is reported.
+    # The stage cost keeps worker 0 busy, so it is still running when the
+    # failure arrives and must be stopped without being blamed.
+    engine = synthetic_engine(3, 8, 8, stage_cost=0.005, fail_at=(1, 3, 5))
+    with pytest.raises(PipelineError) as err:
+        engine.execute()
+    assert (err.value.worker, err.value.step) == (1, 3)
+    assert isinstance(err.value.cause, RuntimeError)
+    assert str(err.value.cause) == "injected fault"
+    assert multiprocessing.active_children() == []
 
-    worker = _Worker(engine, 1)
-    engine.links[0].put_nowait(BoundaryMessage(sender=0, n=2, row=np.array([1.0])))
+
+@pytest.mark.parametrize("exit_at", [(0, 2, 1), (1, 3, 5), (2, 4, 8)])
+def test_killed_worker_raises_pipeline_error(exit_at):
+    # a worker process that dies without a report: upstream, in the middle, last;
+    # the workers upstream of it are still running and must not be blamed
+    engine = synthetic_engine(3, 8, 8, stage_cost=0.005, exit_at=exit_at)
+    t0 = time.perf_counter()
+    with pytest.raises(PipelineError) as err:
+        engine.execute()
+    assert time.perf_counter() - t0 < 30.0
+    assert (err.value.worker, err.value.step) == exit_at[:2]
+    assert "exited with code 1" in str(err.value.cause)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_only_lost_its_link_is_not_blamed(monkeypatch):
+    # the caller looks only after worker 2 has died and workers 0 and 1 have
+    # reported failed sends to it; the root cause is still worker 2
+    from pbemoc import pipeline
+
+    real_wait = pipeline.wait
+
+    def late_wait(objects):
+        time.sleep(0.2)
+        return real_wait(objects)
+
+    monkeypatch.setattr(pipeline, "wait", late_wait)
+    engine = synthetic_engine(3, 8, 20, stage_cost=0.001, exit_at=(2, 1, 6))
+    with pytest.raises(PipelineError) as err:
+        engine.execute()
+    assert (err.value.worker, err.value.step) == (2, 1)
+    assert "exited with code 1" in str(err.value.cause)
+    assert multiprocessing.active_children() == []
+
+
+def test_unpicklable_worker_error_arrives_as_its_repr():
+    class Unpicklable(Exception):
+        def __init__(self, a, b):
+            super().__init__(f"{a}/{b}")
+
+    def advance(p, n, left, prev, m0, out):
+        raise Unpicklable(1, 2)
+
+    engine = _Engine(partition(4, 2), 2, lambda p: p, lambda p, b: np.zeros((len(b), 1)), advance)
+    with pytest.raises(PipelineError) as err:
+        engine.execute()
+    assert (err.value.worker, err.value.step) == (0, 1)
+    assert "Unpicklable('1/2')" in str(err.value.cause)
+    assert multiprocessing.active_children() == []
+
+
+def linked_workers(engine, width=1):
+    """Workers 0 and 1 of engine joined by a real pipe, with message buffers of rows of width."""
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    sender = _Worker(engine, 0, inbox=None, outbox=writer)
+    receiver = _Worker(engine, 1, inbox=reader, outbox=None)
+    sender.message, receiver.message = np.empty(HEADER + width), np.empty(HEADER + width)
+    return sender, receiver
+
+
+def test_out_of_order_message_rejected():
+    # a level-2 row sent over the pipe where the receiver's step 1 needs level 0
+    engine = synthetic_engine(2, 4, 3)
+    sender, receiver = linked_workers(engine)
+    sender._send(2, np.array([[1.0]]))
     with pytest.raises(ProtocolError, match="expected the level-0"):
-        worker._receive(1)
+        receiver._receive(1)
+
+
+def test_message_of_the_wrong_size_rejected():
+    engine = synthetic_engine(2, 4, 3)
+    sender, receiver = linked_workers(engine, width=2)
+    receiver.message = np.empty(HEADER + 3)
+    sender._send(0, np.array([[1.0, 2.0]]))
+    with pytest.raises(ProtocolError, match="got a 32-byte message, expected 40"):
+        receiver._receive(1)
+    receiver.message = np.empty(HEADER + 1)
+    sender._send(0, np.array([[1.0, 2.0]]))
+    with pytest.raises(ProtocolError, match="got a 32-byte message, expected 24"):
+        receiver._receive(1)
+
+
+def test_pipeline_needs_fork(mms, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    mesh, basis, lgrid, tgrid = pipeline_setup(M=4, N=4)
+    with pytest.raises(RuntimeError, match="'fork' start method"):
+        run_pipeline(mms, mesh, basis, lgrid, tgrid, 2)
 
 
 def test_balanced_synthetic_stage_busy_ratio():

@@ -169,6 +169,17 @@ def test_initialize_rejects_incompatible_data():
         initialize(mesh, basis, spec, lgrid)
 
 
+def test_initialize_rejects_nan_inflow_at_t0():
+    # NaN compares false against the tolerance, so the check must not read `gap > tol`
+    def z_bdry(t, x, y):
+        return np.full_like(np.asarray(x, dtype=float), np.nan) if t == 0.0 else zeros(x, y)
+
+    spec = make_spec(z_bdry=z_bdry)
+    mesh, basis, lgrid, _ = small_setup()
+    with pytest.raises(ValueError, match="disagree"):
+        initialize(mesh, basis, spec, lgrid)
+
+
 def test_boundary_slice_zero_for_mms(mms):
     mesh, basis, lgrid, tgrid = small_setup()
     for n in (0, 2, 4):
@@ -453,17 +464,22 @@ def test_run_sequential_bitwise_deterministic(mms):
 
 
 @pytest.mark.parametrize("workers", [None, 2])
-def test_source_and_inflow_see_the_same_step_time(mms, workers):
+def test_source_and_inflow_see_the_same_step_time(mms, workers, tmp_path):
     # 49 * (1/49) != 1.0 in floating point, so n*tau and a linspace time grid
-    # part at n = N; both fields of a level must be taken at one time
-    f_times, inflow_times = set(), set()
+    # part at n = N; both fields of a level must be taken at one time.  The
+    # times go through a file because pipeline workers are separate processes.
+    log = tmp_path / "times.txt"
+
+    def record(field, t):
+        with open(log, "a") as fh:  # one short appended line per call
+            fh.write(f"{field} {float(t)!r}\n")
 
     def f(t, l, x, y):
-        f_times.add(float(t))
+        record("f", t)
         return mms.f(t, l, x, y)
 
     def z_bdry(t, x, y):
-        inflow_times.add(float(t))
+        record("inflow", t)
         return mms.z_bdry(t, x, y)
 
     spec = make_spec(
@@ -475,6 +491,10 @@ def test_source_and_inflow_see_the_same_step_time(mms, workers):
         run_sequential(spec, mesh, basis, lgrid, tgrid)
     else:
         run_pipeline(spec, mesh, basis, lgrid, tgrid, workers)
+    f_times, inflow_times = set(), set()
+    for line in log.read_text().splitlines():
+        field, t = line.split()
+        (f_times if field == "f" else inflow_times).add(float(t))
     assert len(f_times) == tgrid.N
     assert inflow_times - {0.0} == f_times
 
