@@ -5,7 +5,9 @@ Operators are assembled element-wise with quadrature that is exact for the
 polynomial integrands (degree 2k for the bilinear forms) and one order above
 the generic data terms (degree 2k+2 for loads, projections, and norms).
 Matrices are CSR; the direct solver is a sparse LU factorization, which makes
-every solve deterministic and byte-reproducible.
+every solve deterministic and byte-reproducible.  Its block solve hands the
+factorization exactly PANEL right-hand sides per call, so a row gets the same
+bytes in any position of any block, a block of one included.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ __all__ = [
 
 # boundary-trace tolerance for data fed into the zero-boundary projection
 TRACE_TOL = 1e-12
+
+# right-hand sides per SuperLU call.  A column's bytes depend on how many
+# columns share the call (columns that fill a group of four take another BLAS
+# path than the remainder), but not on what the other columns hold or where
+# the column sits, so one fixed width makes the bytes independent of batching.
+PANEL = 8
 
 
 @dataclass(eq=False)
@@ -305,9 +313,29 @@ class _DirectSolver:
             self._lu = spla.splu(sp.csc_matrix(matrix))
         except RuntimeError as exc:  # singular factorization
             raise SolveFailure(f"sparse factorization failed: {exc}") from exc
+        self._pad = np.zeros((PANEL, matrix.shape[0]))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(np.asarray(rhs, dtype=float))
+
+    def solve_rows(self, block: np.ndarray) -> np.ndarray:
+        """Solve each row of a (k, n) block, PANEL rows per SuperLU call.
+
+        A last partial panel is padded with zero rows, so SuperLU only ever
+        sees PANEL right-hand sides.
+        """
+        block = np.ascontiguousarray(block, dtype=float)
+        out = np.empty_like(block)
+        full = block.shape[0] - block.shape[0] % PANEL
+        # a row panel transposed is an F-ordered (n, PANEL) array, as SuperLU takes it
+        for i in range(0, full, PANEL):
+            out[i : i + PANEL] = self._lu.solve(block[i : i + PANEL].T).T
+        rest = block.shape[0] - full
+        if rest:
+            self._pad[:rest] = block[full:]
+            self._pad[rest:] = 0.0
+            out[full:] = self._lu.solve(self._pad.T)[:, :rest].T
+        return out
 
 
 class _IterativeSolver:
@@ -329,6 +357,13 @@ class _IterativeSolver:
                 self._precond = spla.LinearOperator((n, n), ilu.solve)
             except RuntimeError:
                 self._precond = None
+
+    def solve_rows(self, block: np.ndarray) -> np.ndarray:
+        """Solve each row of a (k, n) block on its own."""
+        out = np.empty_like(block, dtype=float)
+        for i, row in enumerate(block):
+            out[i] = self.solve(row)
+        return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         cfg = self._config
@@ -355,7 +390,11 @@ class _IterativeSolver:
         return x
 
 def make_solver(matrix: sp.spmatrix, config: SolverConfig | None = None):
-    """Bind a matrix to the configured solver; the result exposes solve(rhs)."""
+    """Bind a matrix to the configured solver.
+
+    The result exposes solve(rhs) for one right-hand side and solve_rows(block)
+    for a (k, n) block of them, one per row.
+    """
     cfg = config or SolverConfig()
     if cfg.mode == "direct":
         return _DirectSolver(matrix)

@@ -15,9 +15,10 @@ held as a (rows, num_dofs) float64 array.  The sequential loop calls it once
 per level on slices 1..M, each pipeline worker once per level on its own
 block, and step_slice on a block of one slice.  Within a block, slices are
 processed in chunks of about CHUNK_VALUES source values: the blend, the mass
-product and the source load are one array operation per chunk, while the
-source is evaluated and the system solved once per slice, so every slice gets
-the same bytes whatever the block and chunk it falls in.  A level with a
+product, the source load and the solve are one call each per chunk, while the
+source is evaluated once per slice.  Every system solve has the same fixed
+width (fem.PANEL right-hand sides, a partial panel padded with zeros), so a
+slice's bytes do not depend on its block, chunk or worker.  A level with a
 non-finite value raises SolveFailure carrying (n, m).
 """
 
@@ -37,6 +38,7 @@ from .characteristics import (
     check_cfl,
 )
 from .fem import (
+    PANEL,
     FieldSlice,
     LoadAssembler,
     RitzProjector,
@@ -66,9 +68,8 @@ __all__ = [
 COMPAT_TOL = 1e-10
 
 # advance_block works on chunks of about CHUNK_VALUES source values at the
-# quadrature points, and on at least CHUNK_MIN_ROWS slices at a time
+# quadrature points, rounded up to whole solver panels
 CHUNK_VALUES = 1 << 16
-CHUNK_MIN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,12 @@ class Operators:
         self._work = None
 
     def solve_system(self, rhs: np.ndarray) -> np.ndarray:
-        return self._solver.solve(rhs)
+        """Solve a (k, num_dofs) block of right-hand sides, one per row.
+
+        A 1-D rhs is a block of one, so it gets the bytes it gets in any block.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        return self._solver.solve_rows(rhs.reshape(-1, rhs.shape[-1])).reshape(rhs.shape)
 
     def _workspace(self) -> "_Workspace":
         if self._work is None:
@@ -249,7 +255,8 @@ class _Workspace:
     def __init__(self, ops: Operators):
         num_points = ops.load.x.size
         ndofs = ops.mass.shape[0]
-        self.rows = max(CHUNK_MIN_ROWS, CHUNK_VALUES // num_points)
+        # whole panels, so only a block's last chunk can end in a partial one
+        self.rows = PANEL * max(1, -(-(CHUNK_VALUES // num_points) // PANEL))
         self.source_rows = np.empty((self.rows, num_points))
         self.source = np.empty(num_points * self.rows)
         self.blend = np.empty(ndofs * self.rows)
@@ -271,15 +278,14 @@ def advance_block(
 
     prev holds the level-(n-1) slices m0..m0+k-1 as a (k, num_dofs) array and
     left_row the level-(n-1) slice m0-1; out has the shape of prev.  Rows are
-    processed in chunks: the blend, the mass product and the source load are
-    one array operation per chunk, the source is evaluated once per slice, and
-    each slice is solved on its own, so every row gets the bytes the per-slice
-    arithmetic gives.  Raises SolveFailure at the first slice with a
-    non-finite value.
+    processed in chunks: the blend, the mass product, the source load and the
+    solve are one call each per chunk, and the source is evaluated once per
+    slice.  The solver works on panels of a fixed width, so every row gets
+    the bytes the per-slice arithmetic gives, whatever block it falls in.
+    Raises SolveFailure at the first slice with a non-finite value.
     """
     work = ops._workspace()
     spec, load, alphas = ops.spec, ops.load, ops.alphas
-    solve = ops.solve_system
     ndofs = prev.shape[1]
     num_points = load.x.size
     t = n * ops.tau
@@ -306,8 +312,7 @@ def advance_block(
         np.multiply((ops.mass @ z).T, inv_tau, out=rhs)
         rhs += load.assemble_columns(source).T
         rhs[:, ops.boundary_idx] = 0.0
-        for i in range(k):
-            out[c + i] = solve(rhs[i])
+        out[c : c + k] = ops.solve_system(rhs)
     _check_finite(out, n, m0)
 
 

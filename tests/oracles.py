@@ -281,7 +281,9 @@ def advance_slice_reference(ops, n: int, m: int, prev_left, prev_same):
 
     The order of the floating point operations is the one the block kernel
     must reproduce: blend, mass product scaled by 1/tau, plus the source load,
-    boundary rows zeroed, one single-RHS solve.
+    boundary rows zeroed, one solve.  solve_system works on panels of a fixed
+    width, so a right-hand side solved alone gets the bytes it gets in any
+    block.
     """
     alpha = float(ops.alphas[m])
     ztilde = alpha * prev_left + (1.0 - alpha) * prev_same

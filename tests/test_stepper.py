@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pbemoc.characteristics import CflViolationError, LGrid, TimeGrid
-from pbemoc.fem import FieldSlice, SolveFailure, SolverConfig
+from pbemoc.fem import PANEL, FieldSlice, SolveFailure, SolverConfig
 from pbemoc.mesh import UNIT_SQUARE, build_structured_mesh, quadrature_rule, reference_basis
 from pbemoc.pipeline import PipelineError, run_pipeline
 from pbemoc.stepper import (
@@ -316,20 +316,62 @@ def test_advance_block_empty_block_is_a_no_op(mms):
 
 
 def test_run_sequential_solves_once_per_slice(mms):
-    mesh, basis, lgrid, tgrid = small_setup(M=5, N=6)
+    # M = 13 rows fit one chunk: per level one full panel and one partial panel
+    mesh, basis, lgrid, tgrid = small_setup(M=13, N=13)
     ops = precompute_operators(mesh, basis, mms, tgrid.tau, lgrid)
-    solve, calls = ops.solve_system, []
+    assert ops._workspace().rows > lgrid.M
+    solve, blocks = ops.solve_system, []
 
     def counting(rhs):
-        calls.append(rhs.shape)
+        blocks.append(rhs.shape)
         return solve(rhs)
 
+    class RecordingLU:
+        def __init__(self, lu):
+            self.lu, self.shapes = lu, []
+
+        def solve(self, b):
+            self.shapes.append(b.shape)
+            return self.lu.solve(b)
+
     ops.solve_system = counting
+    ops._solver._lu = lu = RecordingLU(ops._solver._lu)
     out = run_sequential(mms, mesh, basis, lgrid, tgrid, operators=ops)
-    assert len(calls) == lgrid.M * tgrid.N
-    assert set(calls) == {(mesh.num_nodes,)}  # one right-hand side per call
+    # one block per level, its rows the level's slices, so each slice once
+    assert blocks == [(lgrid.M, mesh.num_nodes)] * tgrid.N
+    assert sum(rows for rows, _ in blocks) == lgrid.M * tgrid.N
+    assert set(lu.shapes) == {(mesh.num_nodes, PANEL)}
+    assert len(lu.shapes) == tgrid.N * -(-lgrid.M // PANEL)
     plain = run_sequential(mms, mesh, basis, lgrid, tgrid)
     assert out.as_matrix().tobytes() == plain.as_matrix().tobytes()
+
+
+def test_panel_solve_bytes_do_not_depend_on_block_layout(mms):
+    # on the P1 h=1/32 system a column's bytes depend on the SuperLU call's
+    # width, so only a fixed panel width keeps a row's bytes block-independent
+    mesh = build_structured_mesh(mms.domain, 1.0 / 32, 1)
+    lgrid = mms.lgrid(64)
+    ops = precompute_operators(mesh, P1, mms, lgrid.iota, lgrid)
+    rng = np.random.default_rng(17)
+    rows = rng.normal(size=(17, mesh.num_nodes))
+    rows[:, ops.boundary_idx] = 0.0
+    single = [ops.solve_system(row) for row in rows]
+    for k in range(1, 18):
+        pick = rng.choice(17, size=k, replace=False)
+        block = ops.solve_system(rows[pick])
+        assert block.shape == (k, mesh.num_nodes)
+        for i, j in enumerate(pick):
+            assert block[i].tobytes() == single[j].tobytes(), (k, i)
+
+
+def test_iterative_block_solve_matches_row_solves(mms):
+    mesh, basis, lgrid, tgrid = small_setup(M=5, N=6)
+    config = SolverConfig(mode="iterative", tol=1e-12)
+    ops = precompute_operators(mesh, basis, mms, tgrid.tau, lgrid, config)
+    rows = np.random.default_rng(3).normal(size=(3, mesh.num_nodes))
+    rows[:, ops.boundary_idx] = 0.0
+    block = ops.solve_system(rows)
+    assert block.tobytes() == np.stack([ops.solve_system(r) for r in rows]).tobytes()
 
 
 @pytest.mark.parametrize("workers", [None, 2])
