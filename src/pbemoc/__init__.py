@@ -63,6 +63,7 @@ from .pipeline import (
 from .stepper import (
     Operators,
     ProblemSpec,
+    SeparableSource,
     SolutionSurface,
     boundary_slice,
     initialize,

@@ -389,6 +389,7 @@ class _IterativeSolver:
             )
         return x
 
+
 def make_solver(matrix: sp.spmatrix, config: SolverConfig | None = None):
     """Bind a matrix to the configured solver.
 

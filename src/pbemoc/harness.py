@@ -7,9 +7,10 @@ The built-in benchmark problem has the closed-form solution
 on the unit square with unit diffusion, velocity (1, 1), growth rate
 G(l) = 1/2 + 2(1-l)l on [0, 1], and T = 1.  The source term and the initial,
 inflow and exact fields are written out in closed form from that solution,
-so measured errors are pure discretization errors.  Convergence studies
-sweep the mesh size with a coupling rule for the two step sizes; scaling
-studies sweep the worker count.
+so measured errors are pure discretization errors.  The source is a
+SeparableSource of two spatial fields, so the time steps assemble its loads
+once per run.  Convergence studies sweep the mesh size with a coupling rule
+for the two step sizes; scaling studies sweep the worker count.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .characteristics import CflViolationError, LGrid, TimeGrid, check_cfl
 from .fem import ErrorEvaluator, SolverConfig
 from .mesh import Rectangle, UNIT_SQUARE, build_structured_mesh, reference_basis
 from .pipeline import PipelineRun, ScalingRow, run_pipeline, timing_report
-from .stepper import ProblemSpec, run_sequential
+from .stepper import ProblemSpec, SeparableSource, run_sequential
 
 __all__ = [
     "MMSProblem",
@@ -73,33 +74,33 @@ class MMSProblem(ProblemSpec):
         )
 
 
-def _fast_mms_source() -> Callable:
-    """Hand-separated form of the benchmark source term.
+# The source separates as exp(-t/10) * (A(l)*S(x,y) + B(l)*C(x,y)) with
+# S = sin(pi x) sin(pi y), C = cos(pi x) sin(pi y) + sin(pi x) cos(pi y),
+# A = (2 pi^2 - 1/10) sin(pi l) + pi G(l) cos(pi l) and B = pi sin(pi l).
 
-    The source factors as exp(-t/10) * (A(l)*S(x,y) + B(l)*C(x,y)) with
-    S = sin(pi x) sin(pi y) and C = cos(pi x) sin(pi y) + sin(pi x) cos(pi y).
-    The spatial factors are cached per quadrature-point set, so repeated
-    evaluation at new (t, l) costs a handful of array operations.  Agreement
-    with the raw symbolic expression is enforced by the test suite.
-    """
-    pi = np.pi
-    prefactor = 2.0 * pi * pi - DECAY_RATE
-    slot: list = [None]
 
-    def source(t, l, x, y):
-        entry = slot[0]
-        if entry is None or entry[0] is not x or entry[1] is not y:
-            sx, cx = np.sin(pi * np.asarray(x, dtype=float)), np.cos(pi * np.asarray(x, dtype=float))
-            sy, cy = np.sin(pi * np.asarray(y, dtype=float)), np.cos(pi * np.asarray(y, dtype=float))
-            entry = (x, y, sx * sy, cx * sy + sx * cy)
-            slot[0] = entry
-        sxy, cxy = entry[2], entry[3]
-        growth = 0.5 + 2.0 * (1.0 - l) * l
-        sin_l, cos_l = np.sin(pi * l), np.cos(pi * l)
-        amp = np.exp(-DECAY_RATE * t)
-        return amp * ((prefactor * sin_l + pi * growth * cos_l) * sxy + (pi * sin_l) * cxy)
+def _decay(t):
+    return np.exp(-DECAY_RATE * t)
 
-    return source
+
+def _source_sines(x, y):
+    return np.sin(np.pi * np.asarray(x, dtype=float)) * np.sin(np.pi * np.asarray(y, dtype=float))
+
+
+def _source_mixed(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    sx, cx = np.sin(np.pi * x), np.cos(np.pi * x)
+    sy, cy = np.sin(np.pi * y), np.cos(np.pi * y)
+    return cx * sy + sx * cy
+
+
+def _source_sines_factor(l):
+    growth = 0.5 + 2.0 * (1.0 - l) * l
+    return (2.0 * np.pi * np.pi - DECAY_RATE) * np.sin(np.pi * l) + np.pi * growth * np.cos(np.pi * l)
+
+
+def _source_mixed_factor(l):
+    return np.pi * np.sin(np.pi * l)
 
 
 def _growth(l):
@@ -130,13 +131,16 @@ def mms_problem() -> MMSProblem:
     The solution carries a factor sin(pi l), so the inflow data at l = 0 are
     identically zero.  The test suite checks every field against a symbolic
     derivation of the problem; the operand order of each product follows
-    that derivation's printed form, so the fields match it bitwise.
+    that derivation's printed form, so the fields match it bitwise.  The
+    source, a SeparableSource of two spatial fields, matches it to rounding.
     """
     return MMSProblem(
         epsilon=1.0,
         b=(1.0, 1.0),
         G=_growth,
-        f=_fast_mms_source(),
+        f=SeparableSource(
+            _decay, (_source_sines_factor, _source_mixed_factor), (_source_sines, _source_mixed)
+        ),
         z_init=lambda l, x, y: _solution(0.0, l, x, y),
         z_init_grad=lambda l, x, y: _solution_grad(0.0, l, x, y),
         z_bdry=_zero_inflow,

@@ -24,7 +24,8 @@ A failing worker reports its error; a worker that dies without a report is
 seen through its process sentinel, and its step is read from a shared
 array.  The caller then stops the other workers and raises PipelineError for
 the root cause: a worker that only lost the link to a failed neighbour is
-never reported in its place.  Forking needs a POSIX platform.
+never reported in its place.  The error carries the failing slice's index
+when its cause does.  Forking needs a POSIX platform.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from multiprocessing.connection import wait
 import numpy as np
 
 from .characteristics import CflViolationError, LGrid, TimeGrid, check_cfl
-from .fem import RitzProjector, SolverConfig
+from .fem import RitzProjector, SolveFailure, SolverConfig
 from .mesh import BasisSet, SpatialMesh
 from .stepper import (
     Operators,
@@ -70,12 +71,19 @@ HEADER = 2
 
 
 class PipelineError(RuntimeError):
-    """A worker failed; carries the (worker, step) context."""
+    """A worker failed; carries the (worker, step, slice) context.
+
+    m is the internal index of the failing slice, taken from a SolveFailure
+    cause, and None for any other cause.
+    """
 
     def __init__(self, worker: int, step: int, cause: BaseException):
-        super().__init__(f"worker {worker} failed at step {step}: {cause!r}")
+        m = cause.m if isinstance(cause, SolveFailure) else None
+        where = f"step {step}" if m is None else f"step {step}, slice m={m}"
+        super().__init__(f"worker {worker} failed at {where}: {cause!r}")
         self.worker = worker
         self.step = step
+        self.m = m
         self.cause = cause
 
 

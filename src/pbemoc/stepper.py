@@ -15,11 +15,15 @@ held as a (rows, num_dofs) float64 array.  The sequential loop calls it once
 per level on slices 1..M, each pipeline worker once per level on its own
 block, and step_slice on a block of one slice.  Within a block, slices are
 processed in chunks of about CHUNK_VALUES source values: the blend, the mass
-product, the source load and the solve are one call each per chunk, while the
-source is evaluated once per slice.  Every system solve has the same fixed
-width (fem.PANEL right-hand sides, a partial panel padded with zeros), so a
-slice's bytes do not depend on its block, chunk or worker.  A level with a
-non-finite value raises SolveFailure carrying (n, m).
+product, the source load and the solve are one call each per chunk.  A
+SeparableSource, c(t) sum_j a_j(l) s_j(x, y), has its field loads
+L_j = integral of s_j phi_i assembled and its factors a_j(l_m) tabulated once
+per run, so a slice's load is the sum of the scaled vectors
+(c(t) a_j(l_m)) L_j; any other source is evaluated at the quadrature points
+once per slice and its load assembled per chunk.  Every system solve has the
+same fixed width (fem.PANEL right-hand sides, a partial panel padded with
+zeros), so a slice's bytes do not depend on its block, chunk or worker.  A
+level with a non-finite value raises SolveFailure carrying (n, m).
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from .mesh import BasisSet, SpatialMesh
 
 __all__ = [
     "ProblemSpec",
+    "SeparableSource",
     "SolutionSurface",
     "Operators",
     "precompute_operators",
@@ -72,6 +77,34 @@ COMPAT_TOL = 1e-10
 CHUNK_VALUES = 1 << 16
 
 
+class SeparableSource:
+    """A source f(t, l, x, y) = c(t) * sum_j a_j(l) * s_j(x, y).
+
+    time_factor is c(t), l_factors the a_j(l) and fields the s_j(x, y), each
+    a vectorized callable, with as many l-factors as fields.  The source
+    stays callable pointwise; the time stepper instead assembles the load of
+    each field once per run and combines those vectors per slice.
+    """
+
+    def __init__(self, time_factor: Callable, l_factors: Sequence[Callable], fields: Sequence[Callable]):
+        self.time_factor = time_factor
+        self.l_factors = tuple(l_factors)
+        self.fields = tuple(fields)
+        if not self.fields:
+            raise ValueError("a separable source needs at least one field")
+        if len(self.l_factors) != len(self.fields):
+            raise ValueError(
+                f"{len(self.l_factors)} l-factors for {len(self.fields)} fields; "
+                "a separable source needs one per field"
+            )
+
+    def __call__(self, t, l, x, y):
+        total = self.l_factors[0](l) * self.fields[0](x, y)
+        for a, s in zip(self.l_factors[1:], self.fields[1:]):
+            total = total + a(l) * s(x, y)
+        return self.time_factor(t) * total
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """One instance of the balance equation.
@@ -80,6 +113,8 @@ class ProblemSpec:
     f(t, l, x, y), initial data z_init(l, x, y), and inflow data
     z_bdry(t, x, y); the *_grad companions return the spatial gradient as an
     (fx, fy) pair.  G(l) is the growth rate along the internal coordinate.
+    A source given as a SeparableSource enters the time steps through loads
+    assembled once per run; any other callable is evaluated per slice.
     """
 
     epsilon: float
@@ -119,7 +154,8 @@ class SolutionSurface:
 
 
 class Operators:
-    """Assembled matrices, factorizations, and quadrature caches for one run.
+    """Assembled matrices, factorizations, quadrature caches, and the field
+    loads of a separable source, for one run.
 
     The kernel buffers are allocated on first use, so each pipeline worker
     process, which inherits the operators through fork, allocates its own.
@@ -152,6 +188,13 @@ class Operators:
         self._solver = make_solver(self.system_bc, solver_config)
         self.projector = RitzProjector(mesh, basis, solver_config=solver_config)
         self.load = LoadAssembler(mesh, basis)
+        # a separable source: the loads L_j of its fields, and a_j(l_m) as row j
+        self.source_loads = self.source_factors = None
+        if isinstance(spec.f, SeparableSource):
+            self.source_loads = [self.load.assemble(s) for s in spec.f.fields]
+            self.source_factors = np.stack(
+                [np.broadcast_to(a(lgrid.nodes), lgrid.nodes.shape) for a in spec.f.l_factors]
+            )
         self.interior = ~mesh.boundary_mask
         self.boundary_idx = np.flatnonzero(mesh.boundary_mask)
         # the foot weights are time-independent because G does not depend on t
@@ -257,13 +300,14 @@ class _Workspace:
         ndofs = ops.mass.shape[0]
         # whole panels, so only a block's last chunk can end in a partial one
         self.rows = PANEL * max(1, -(-(CHUNK_VALUES // num_points) // PANEL))
-        self.source_rows = np.empty((self.rows, num_points))
-        self.source = np.empty(num_points * self.rows)
+        if ops.source_loads is None:  # only a source evaluated per slice needs these
+            self.source_rows = np.empty((self.rows, num_points))
+            self.source = np.empty(num_points * self.rows)
+            self.nodes = ops.lgrid.nodes.tolist()
         self.blend = np.empty(ndofs * self.rows)
         self.same = np.empty(ndofs * self.rows)
         self.rhs = np.empty(ndofs * self.rows)
         self.beta = 1.0 - ops.alphas  # weight of the same-index slice
-        self.nodes = ops.lgrid.nodes.tolist()
 
 
 def advance_block(
@@ -279,10 +323,12 @@ def advance_block(
     prev holds the level-(n-1) slices m0..m0+k-1 as a (k, num_dofs) array and
     left_row the level-(n-1) slice m0-1; out has the shape of prev.  Rows are
     processed in chunks: the blend, the mass product, the source load and the
-    solve are one call each per chunk, and the source is evaluated once per
-    slice.  The solver works on panels of a fixed width, so every row gets
-    the bytes the per-slice arithmetic gives, whatever block it falls in.
-    Raises SolveFailure at the first slice with a non-finite value.
+    solve are one call each per chunk.  A separable source adds
+    (c(t) a_j(l_m)) L_j to row m one field j at a time, elementwise, so a
+    row's load does not depend on the chunk; any other source is evaluated
+    once per slice.  The solver works on panels of a fixed width, so every
+    row gets the bytes the per-slice arithmetic gives, whatever block it
+    falls in.  Raises SolveFailure at the first slice with a non-finite value.
     """
     work = ops._workspace()
     spec, load, alphas = ops.spec, ops.load, ops.alphas
@@ -303,14 +349,22 @@ def advance_block(
             np.multiply(prev[c - 1 : c + k - 1].T, alphas[m : m + k], out=z)
         np.multiply(prev[c : c + k].T, work.beta[m : m + k], out=same)
         np.add(z, same, out=z)
-        # the source of slice m+i, written as row i and stored as column i
-        for i in range(k):
-            work.source_rows[i] = spec.f(t, work.nodes[m + i], load.x, load.y)
-        source = work.source[: num_points * k].reshape(num_points, k)
-        np.copyto(source, work.source_rows[:k].T)
         rhs = work.rhs[: ndofs * k].reshape(k, ndofs)
         np.multiply((ops.mass @ z).T, inv_tau, out=rhs)
-        rhs += load.assemble_columns(source).T
+        if ops.source_loads is None:
+            # the source of slice m+i, written as row i and stored as column i
+            for i in range(k):
+                work.source_rows[i] = spec.f(t, work.nodes[m + i], load.x, load.y)
+            source = work.source[: num_points * k].reshape(num_points, k)
+            np.copyto(source, work.source_rows[:k].T)
+            rhs += load.assemble_columns(source).T
+        else:
+            # row i gains (c(t) a_j(l_{m+i})) L_j; the blend is done with same
+            c_t = spec.f.time_factor(t)
+            term = work.same[: ndofs * k].reshape(k, ndofs)
+            for a, field_load in zip(ops.source_factors, ops.source_loads):
+                np.multiply((c_t * a[m : m + k])[:, None], field_load, out=term)
+                rhs += term
         rhs[:, ops.boundary_idx] = 0.0
         out[c : c + k] = ops.solve_system(rhs)
     _check_finite(out, n, m0)

@@ -1,3 +1,5 @@
+import faulthandler
+
 import pytest
 
 from pbemoc.harness import mms_problem
@@ -8,6 +10,15 @@ _ACCEPTANCE_RESULTS = []
 
 def record_criterion(number, name, passed, detail=""):
     _ACCEPTANCE_RESULTS.append((number, name, passed, detail))
+
+
+@pytest.fixture(autouse=True)
+def hang_guard():
+    # a deadlocked pipeline dumps every thread's stack and ends the run
+    # instead of stalling it
+    faulthandler.dump_traceback_later(120, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from pbemoc.mesh import UNIT_SQUARE, build_structured_mesh, quadrature_rule, ref
 from pbemoc.pipeline import PipelineError, run_pipeline
 from pbemoc.stepper import (
     ProblemSpec,
+    SeparableSource,
     SolutionSurface,
     advance_block,
     boundary_slice,
@@ -277,18 +280,25 @@ def per_slice_level(ops, n, prev):
     ])
 
 
+def with_plain_source(problem):
+    """A copy of problem whose source is a plain callable with the same values."""
+    return dataclasses.replace(problem, f=lambda t, l, x, y: problem.f(t, l, x, y))
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_advance_block_matches_per_slice_oracle_bitwise(mms, order):
+    # the separable load path and the per-slice source path alike
     M, n = 12, 3
     mesh, basis, lgrid, tgrid = small_setup(M=M, N=M, order=order)
-    ops = precompute_operators(mesh, basis, mms, tgrid.tau, lgrid)
     prev = np.random.default_rng(order).normal(size=(M + 1, mesh.num_nodes))
-    expected = per_slice_level(ops, n, prev)
-    for m0 in (1, 2, 5, M):
-        for k in range(1, M - m0 + 2):
-            out = np.empty((k, mesh.num_nodes))
-            advance_block(ops, n, prev[m0 - 1], prev[m0:m0 + k], m0, out)
-            assert out.tobytes() == expected[m0 - 1:m0 - 1 + k].tobytes(), (m0, k)
+    for problem in (mms, with_plain_source(mms)):
+        ops = precompute_operators(mesh, basis, problem, tgrid.tau, lgrid)
+        expected = per_slice_level(ops, n, prev)
+        for m0 in (1, 2, 5, M):
+            for k in range(1, M - m0 + 2):
+                out = np.empty((k, mesh.num_nodes))
+                advance_block(ops, n, prev[m0 - 1], prev[m0:m0 + k], m0, out)
+                assert out.tobytes() == expected[m0 - 1:m0 - 1 + k].tobytes(), (m0, k)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -297,15 +307,107 @@ def test_advance_block_across_chunks_matches_per_slice_oracle_bitwise(mms, order
     M, n = 1400, 2
     mesh = build_structured_mesh(UNIT_SQUARE, 0.5, order)
     lgrid = LGrid(0.0, 1.0, M)
-    ops = precompute_operators(mesh, reference_basis(order), mms, 0.5 / M, lgrid)
-    rows = ops._workspace().rows
-    assert M > rows and M % rows != 0
     prev = np.random.default_rng(10 + order).normal(size=(M + 1, mesh.num_nodes))
-    expected = per_slice_level(ops, n, prev)
-    for m0 in (1, 3):
-        out = np.empty((M - m0 + 1, mesh.num_nodes))
-        advance_block(ops, n, prev[m0 - 1], prev[m0:], m0, out)
-        assert out.tobytes() == expected[m0 - 1:].tobytes()
+    for problem in (mms, with_plain_source(mms)):
+        ops = precompute_operators(mesh, reference_basis(order), problem, 0.5 / M, lgrid)
+        rows = ops._workspace().rows
+        assert M > rows and M % rows != 0
+        expected = per_slice_level(ops, n, prev)
+        for m0 in (1, 3):
+            out = np.empty((M - m0 + 1, mesh.num_nodes))
+            advance_block(ops, n, prev[m0 - 1], prev[m0:], m0, out)
+            assert out.tobytes() == expected[m0 - 1:].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# separable sources
+
+
+def three_field_source(l_factor=lambda l: 1.0 + l):
+    """A J = 3 source with a time factor that is not an exponential decay."""
+    return SeparableSource(
+        lambda t: 1.0 + np.cos(3.0 * t),
+        (l_factor, lambda l: np.sin(2.0 * l), lambda l: 0.5),  # the last is constant
+        (sines, lambda x, y: x * y, lambda x, y: np.cos(2.0 * x) + y),
+    )
+
+
+def separable_spec(f):
+    return make_spec(f=f, G=lambda l: 0.5 + 0.5 * np.asarray(l, dtype=float) ** 2)
+
+
+def test_separable_source_rejects_mismatched_factors_and_fields():
+    with pytest.raises(ValueError, match="2 l-factors for 1 fields"):
+        SeparableSource(np.exp, (np.sin, np.cos), (sines,))
+    with pytest.raises(ValueError, match="at least one field"):
+        SeparableSource(np.exp, (), ())
+
+
+def test_separable_source_pointwise_matches_its_loads():
+    mesh, basis, lgrid, tgrid = small_setup(M=6, N=6, order=2)
+    source = three_field_source()
+    spec = separable_spec(source)
+    ops = precompute_operators(mesh, basis, spec, tgrid.tau, lgrid)
+    for n in (1, 4):
+        t = n * tgrid.tau
+        for m in range(1, lgrid.M + 1):
+            pointwise = ops.load.assemble_values(
+                source(t, float(lgrid.nodes[m]), ops.load.x, ops.load.y)
+            )
+            separated = sum(
+                (source.time_factor(t) * a[m]) * field_load
+                for a, field_load in zip(ops.source_factors, ops.source_loads)
+            )
+            assert np.abs(separated - pointwise).max() <= 1e-13 * np.abs(pointwise).max()
+    # a step with the separated loads against one with the source evaluated per slice
+    plain_ops = precompute_operators(mesh, basis, with_plain_source(spec), tgrid.tau, lgrid)
+    assert plain_ops.source_loads is None
+    surface = initialize(mesh, basis, spec, lgrid, ops)
+    for m in range(1, lgrid.M + 1):
+        got = step_slice(surface, m, 1, ops).values
+        want = step_slice(surface, m, 1, plain_ops).values
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("P", [1, 2, 3])
+def test_separable_source_pipeline_matches_sequential_bytes(P):
+    mesh, basis, lgrid, tgrid = small_setup(h=0.25, M=7, N=7)
+    spec = separable_spec(three_field_source())
+    seq = run_sequential(spec, mesh, basis, lgrid, tgrid)
+    assert np.abs(seq.as_matrix()).max() > 0.0
+    run = run_pipeline(spec, mesh, basis, lgrid, tgrid, P)
+    assert run.surface.as_matrix().tobytes() == seq.as_matrix().tobytes()
+
+
+def test_separable_source_pipeline_iterative_close_to_sequential():
+    mesh, basis, lgrid, tgrid = small_setup(h=0.25, M=7, N=7)
+    spec = separable_spec(three_field_source())
+    config = SolverConfig(mode="iterative", tol=1e-12)
+    seq = run_sequential(spec, mesh, basis, lgrid, tgrid, config)
+    run = run_pipeline(spec, mesh, basis, lgrid, tgrid, 3, config)
+    assert np.abs(run.surface.as_matrix() - seq.as_matrix()).max() <= 1e-10
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_separable_source_with_a_non_finite_factor_raises_with_step_and_slice(workers):
+    # the first l-factor is NaN at l = 3/4 only, so slice m = 3 fails at step 1
+    def l_factor(l):
+        l = np.asarray(l, dtype=float)
+        return np.where(l == 0.75, np.nan, 1.0 + l)
+
+    spec = separable_spec(three_field_source(l_factor))
+    mesh, basis, lgrid, tgrid = small_setup(M=4, N=4)
+    if workers is None:
+        with pytest.raises(SolveFailure) as err:
+            run_sequential(spec, mesh, basis, lgrid, tgrid)
+        failure = err.value
+    else:
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(spec, mesh, basis, lgrid, tgrid, workers)
+        assert (err.value.worker, err.value.step, err.value.m) == (1, 1, 3)
+        failure = err.value.cause
+        assert isinstance(failure, SolveFailure)
+    assert (failure.n, failure.m) == (1, 3)
 
 
 def test_advance_block_empty_block_is_a_no_op(mms):
@@ -394,6 +496,7 @@ def test_non_finite_source_raises_with_step_and_slice(mms, workers):
         with pytest.raises(PipelineError) as err:
             run_pipeline(spec, mesh, basis, lgrid, tgrid, workers)
         assert (err.value.worker, err.value.step) == (1, 2)  # blocks 0..2 and 3..4
+        assert err.value.m == 3 and "slice m=3" in str(err.value)
         failure = err.value.cause
         assert isinstance(failure, SolveFailure)
     assert (failure.n, failure.m) == (2, 3)
@@ -419,7 +522,7 @@ def test_non_finite_inflow_at_the_last_step_raises(mms, workers):
     else:
         with pytest.raises(PipelineError) as err:
             run_pipeline(spec, mesh, basis, lgrid, tgrid, workers)
-        assert (err.value.worker, err.value.step) == (0, tgrid.N)
+        assert (err.value.worker, err.value.step, err.value.m) == (0, tgrid.N, 0)
         failure = err.value.cause
     assert (failure.n, failure.m) == (tgrid.N, 0)
 
