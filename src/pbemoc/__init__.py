@@ -23,13 +23,9 @@ from .fem import (
     SolverConfig,
     apply_dirichlet,
     assemble_convection,
-    assemble_load,
     assemble_mass,
     assemble_stiffness,
     dump_matrix,
-    error_norms,
-    ritz_projection,
-    solve,
 )
 from .harness import (
     ConvergenceRow,

@@ -81,13 +81,6 @@ class TimeGrid:
     def tau(self) -> float:
         return self.T / self.N if self.N > 0 else 0.0
 
-    @cached_property
-    def times(self) -> np.ndarray:
-        """Level times n * tau, the times at which the stepping evaluates data."""
-        times = np.arange(self.N + 1) * self.tau
-        times.setflags(write=False)
-        return times
-
 
 @dataclass(frozen=True)
 class CflCheck:
@@ -114,27 +107,21 @@ class CflCheck:
         )
 
 
-def _sample_growth(lgrid: LGrid, G: Callable, samples: int) -> np.ndarray:
-    ell = np.linspace(lgrid.l_min, lgrid.l_max, samples + 1)
+def _sample_growth(lgrid: LGrid, G: Callable) -> np.ndarray:
+    ell = np.linspace(lgrid.l_min, lgrid.l_max, CFL_SAMPLES + 1)
     vals = np.asarray(G(ell), dtype=float)
     if vals.ndim == 0:
         vals = np.full(ell.shape, float(vals))
     return vals
 
 
-def check_cfl(
-    tau: float,
-    lgrid: LGrid,
-    G: Callable,
-    samples: int = CFL_SAMPLES,
-    require_positive: bool = True,
-) -> CflCheck:
-    """Check tau <= iota / max G, with max G estimated by dense sampling.
+def check_cfl(tau: float, lgrid: LGrid, G: Callable, require_positive: bool = True) -> CflCheck:
+    """Check tau <= iota / max G, with max G estimated on CFL_SAMPLES cells.
 
     The growth rate must be positive everywhere (require_positive=False relaxes
     this to nonnegative, which degenerates the transport to a no-op).
     """
-    vals = _sample_growth(lgrid, G, samples)
+    vals = _sample_growth(lgrid, G)
     bad = vals <= 0.0 if require_positive else vals < 0.0
     if np.any(bad):
         raise ValueError(

@@ -16,7 +16,6 @@ Flags may also be given in a plain `key = value` config file; explicit flags win
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .characteristics import CflViolationError
@@ -57,10 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", help="comma-separated exponents k meaning h = 2^-k")
     p.add_argument("--coupling", choices=["h2", "h3", "equal"], help="rule for (tau, iota) from h")
     p.add_argument("--workers", help="worker count (single/convergence) or comma list (scaling)")
-    p.add_argument("--T", type=float, help="final time (default 1)")
+    p.add_argument("--T", type=float, help="final time of single and convergence runs (default 1)")
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--config", help="key = value file supplying defaults for any flag")
-    p.add_argument("--snapshots", help="comma-separated time-step indices to export")
+    p.add_argument("--snapshots", help="comma-separated time-step indices to export (sequential runs)")
     p.add_argument("--mode", choices=["strong", "weak"], help="scaling study mode (default strong)")
     p.add_argument("--block", type=int, help="per-worker block size for weak scaling (default 8)")
     p.add_argument("--steps", type=int, help="number of time steps for scaling runs (default 32)")
@@ -145,10 +144,7 @@ def _dispatch(args) -> int:
             raise ValueError("single study requires --h, --tau and --iota")
         workers = _parse_int_list(args.workers)[0] if args.workers else None
         snapshots = _parse_int_list(args.snapshots) if args.snapshots else ()
-        snapshot_dir = None
-        if snapshots:
-            snapshot_dir = args.out or "."
-            os.makedirs(snapshot_dir, exist_ok=True)
+        snapshot_dir = (args.out or ".") if snapshots else None
         l2, h1 = run_single(
             mms_problem(),
             float(args.h),
@@ -175,13 +171,11 @@ def _dispatch(args) -> int:
         if study == "characteristics":
             order = 2 if args.element is None else order
         config = StudyConfig(
-            kind=study,
             element_order=order,
             levels=levels,
             coupling=coupling,
             workers=_parse_int_list(args.workers) if args.workers else (),
-            out=args.out,
-            T=float(args.T) if args.T is not None else 1.0,
+            T=float(args.T) if args.T is not None else None,
             solver=solver,
         )
         rows = characteristics_study(config) if study == "characteristics" else convergence_study(config)
@@ -194,10 +188,8 @@ def _dispatch(args) -> int:
 
     # scaling
     config = StudyConfig(
-        kind="scaling",
         element_order=order,
         workers=_parse_int_list(args.workers) if args.workers else (1, 2),
-        out=args.out,
         h=float(args.h) if args.h is not None else None,
         iota=float(args.iota) if args.iota is not None else None,
         scaling_mode=args.mode or "strong",

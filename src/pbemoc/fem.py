@@ -28,16 +28,12 @@ __all__ = [
     "assemble_mass",
     "assemble_stiffness",
     "assemble_convection",
-    "assemble_load",
     "apply_dirichlet",
-    "solve",
     "make_solver",
     "LoadAssembler",
     "GradientLoadAssembler",
     "RitzProjector",
-    "ritz_projection",
     "ErrorEvaluator",
-    "error_norms",
     "dump_matrix",
 ]
 
@@ -108,7 +104,10 @@ class SolverConfig:
 
 
 class _QuadData:
-    """Per-element quadrature geometry for one (mesh, basis, degree) triple."""
+    """Per-element quadrature geometry for one (mesh, basis, degree) triple.
+
+    Use _form_quad or _data_quad, which fix the degree for each kind of integrand.
+    """
 
     def __init__(self, mesh: SpatialMesh, basis: BasisSet, degree: int):
         if basis.order != mesh.order:
@@ -128,8 +127,6 @@ class _QuadData:
 
         ref = rule.xy  # (nq, 2)
         self.rule = rule
-        self.mesh = mesh
-        self.basis = basis
         self.conn = mesh.elements
         self.vals = basis.values(ref)  # (nl, nq)
         ref_grads = basis.gradients(ref)  # (nl, nq, 2)
@@ -145,6 +142,16 @@ class _QuadData:
         return self.x.ravel(), self.y.ravel()
 
 
+def _form_quad(mesh: SpatialMesh, basis: BasisSet) -> _QuadData:
+    """Quadrature exact for the bilinear forms: degree 2k."""
+    return _QuadData(mesh, basis, 2 * basis.order)
+
+
+def _data_quad(mesh: SpatialMesh, basis: BasisSet) -> _QuadData:
+    """Quadrature for loads, projections and norms: degree 2k+2."""
+    return _QuadData(mesh, basis, 2 * basis.order + 2)
+
+
 def _scatter(mesh: SpatialMesh, local: np.ndarray) -> sp.csr_matrix:
     """Sum local element matrices (ne, nl, nl) into a global CSR matrix."""
     conn = mesh.elements
@@ -157,47 +164,37 @@ def _scatter(mesh: SpatialMesh, local: np.ndarray) -> sp.csr_matrix:
     return mat
 
 
-def assemble_mass(mesh: SpatialMesh, basis: BasisSet, quad_degree: int | None = None) -> sp.csr_matrix:
+def assemble_mass(mesh: SpatialMesh, basis: BasisSet) -> sp.csr_matrix:
     """Mass matrix with entries (i, j) -> integral of phi_i phi_j."""
-    qd = _QuadData(mesh, basis, quad_degree or 2 * basis.order)
+    qd = _form_quad(mesh, basis)
     local = np.einsum("eq,iq,jq->eij", qd.wdet, qd.vals, qd.vals)
     return _scatter(mesh, local)
 
 
-def assemble_stiffness(
-    mesh: SpatialMesh,
-    basis: BasisSet,
-    epsilon: float = 1.0,
-    quad_degree: int | None = None,
-) -> sp.csr_matrix:
+def assemble_stiffness(mesh: SpatialMesh, basis: BasisSet, epsilon: float = 1.0) -> sp.csr_matrix:
     """Diffusion matrix with entries epsilon * integral of grad phi_i . grad phi_j."""
     if epsilon <= 0.0:
         raise ValueError(f"diffusion coefficient must be positive, got {epsilon}")
-    qd = _QuadData(mesh, basis, quad_degree or 2 * basis.order)
+    qd = _form_quad(mesh, basis)
     local = epsilon * np.einsum("eq,eiqa,ejqa->eij", qd.wdet, qd.grads, qd.grads)
     return _scatter(mesh, local)
 
 
-def assemble_convection(
-    mesh: SpatialMesh,
-    basis: BasisSet,
-    b: tuple[float, float],
-    quad_degree: int | None = None,
-) -> sp.csr_matrix:
+def assemble_convection(mesh: SpatialMesh, basis: BasisSet, b: tuple[float, float]) -> sp.csr_matrix:
     """Convection matrix with entries (i, j) -> integral of (b . grad phi_j) phi_i."""
     bvec = np.asarray(b, dtype=float)
     if bvec.shape != (2,):
         raise ValueError(f"velocity must be a 2-vector, got shape {bvec.shape}")
-    qd = _QuadData(mesh, basis, quad_degree or 2 * basis.order)
+    qd = _form_quad(mesh, basis)
     bgrad = np.einsum("a,ejqa->ejq", bvec, qd.grads)
     local = np.einsum("eq,iq,ejq->eij", qd.wdet, qd.vals, bgrad)
     return _scatter(mesh, local)
 
 
-def _point_scatter(mesh: SpatialMesh, basis: BasisSet, quad_degree: int | None):
+def _point_scatter(mesh: SpatialMesh, basis: BasisSet):
     """Load-degree quadrature data plus a builder that turns (ne, nl, nq) weights
     into the sparse (num_nodes, ne*nq) scatter of quadrature-point values."""
-    qd = _QuadData(mesh, basis, quad_degree or 2 * basis.order + 2)
+    qd = _data_quad(mesh, basis)
     ne, nq = qd.wdet.shape
     nl = qd.conn.shape[1]
     rows = np.repeat(qd.conn, nq, axis=1).ravel()
@@ -217,8 +214,8 @@ class LoadAssembler:
     to one vectorized evaluation of g plus a sparse matrix-vector product.
     """
 
-    def __init__(self, mesh: SpatialMesh, basis: BasisSet, quad_degree: int | None = None):
-        qd, scatter = _point_scatter(mesh, basis, quad_degree)
+    def __init__(self, mesh: SpatialMesh, basis: BasisSet):
+        qd, scatter = _point_scatter(mesh, basis)
         self._matrix = scatter(qd.wdet[:, None, :] * qd.vals[None, :, :])
         self.x, self.y = qd.points
 
@@ -228,17 +225,12 @@ class LoadAssembler:
     def assemble_values(self, values: np.ndarray) -> np.ndarray:
         return self._matrix @ np.asarray(values, dtype=float).ravel()
 
-    def assemble_columns(self, values: np.ndarray) -> np.ndarray:
-        """Load vectors of k fields at once: values is (num_points, k), one field
-        per column; column j of the result equals assemble_values(values[:, j])."""
-        return self._matrix @ values
-
 
 class GradientLoadAssembler:
     """Reusable evaluator of integral of grad g . grad phi_i for fields with known gradient."""
 
-    def __init__(self, mesh: SpatialMesh, basis: BasisSet, quad_degree: int | None = None):
-        qd, scatter = _point_scatter(mesh, basis, quad_degree)
+    def __init__(self, mesh: SpatialMesh, basis: BasisSet):
+        qd, scatter = _point_scatter(mesh, basis)
         # (ne, nl, nq, 2) weighted physical gradients
         wg = qd.wdet[:, None, :, None] * qd.grads
         self._mx = scatter(wg[..., 0])
@@ -250,16 +242,6 @@ class GradientLoadAssembler:
         gx = np.asarray(gx, dtype=float).ravel()
         gy = np.asarray(gy, dtype=float).ravel()
         return self._mx @ gx + self._my @ gy
-
-
-def assemble_load(
-    mesh: SpatialMesh,
-    basis: BasisSet,
-    g: Callable,
-    quad_degree: int | None = None,
-) -> np.ndarray:
-    """Load vector of g against the basis (one-shot; see LoadAssembler for reuse)."""
-    return LoadAssembler(mesh, basis, quad_degree).assemble(g)
 
 
 def apply_dirichlet(
@@ -349,14 +331,12 @@ class _IterativeSolver:
     def __init__(self, matrix, config: SolverConfig):
         self._matrix = sp.csr_matrix(matrix)
         self._config = config
-        self._precond = None
-        if config.maxiter > 1:  # a crippled budget usually means a failure test
-            try:
-                ilu = spla.spilu(sp.csc_matrix(matrix), drop_tol=1e-6, fill_factor=20)
-                n = matrix.shape[0]
-                self._precond = spla.LinearOperator((n, n), ilu.solve)
-            except RuntimeError:
-                self._precond = None
+        try:
+            ilu = spla.spilu(sp.csc_matrix(matrix), drop_tol=1e-6, fill_factor=20)
+            n = matrix.shape[0]
+            self._precond = spla.LinearOperator((n, n), ilu.solve)
+        except RuntimeError:
+            self._precond = None
 
     def solve_rows(self, block: np.ndarray) -> np.ndarray:
         """Solve each row of a (k, n) block on its own."""
@@ -402,11 +382,6 @@ def make_solver(matrix: sp.spmatrix, config: SolverConfig | None = None):
     return _IterativeSolver(matrix, cfg)
 
 
-def solve(matrix: sp.spmatrix, rhs: np.ndarray, config: SolverConfig | None = None) -> np.ndarray:
-    """Solve a sparse square system with the configured solver."""
-    return make_solver(matrix, config).solve(rhs)
-
-
 class RitzProjector:
     """Projection onto the zero-boundary FE space in the gradient inner product.
 
@@ -415,19 +390,11 @@ class RitzProjector:
     domain boundary (checked at boundary nodes).
     """
 
-    def __init__(
-        self,
-        mesh: SpatialMesh,
-        basis: BasisSet,
-        quad_degree: int | None = None,
-        solver_config: SolverConfig | None = None,
-    ):
-        self.mesh = mesh
-        self.basis = basis
+    def __init__(self, mesh: SpatialMesh, basis: BasisSet, solver_config: SolverConfig | None = None):
         a0 = assemble_stiffness(mesh, basis, 1.0)
         self.matrix, _ = apply_dirichlet(a0, np.zeros(mesh.num_nodes), mesh.boundary_mask)
         self._solver = make_solver(self.matrix, solver_config)
-        self._grad_asm = GradientLoadAssembler(mesh, basis, quad_degree)
+        self._grad_asm = GradientLoadAssembler(mesh, basis)
         self._bx = mesh.nodes[mesh.boundary_mask, 0]
         self._by = mesh.nodes[mesh.boundary_mask, 1]
         self._interior = ~mesh.boundary_mask
@@ -443,23 +410,11 @@ class RitzProjector:
         return self._solver.solve(rhs)
 
 
-def ritz_projection(
-    mesh: SpatialMesh,
-    basis: BasisSet,
-    g: Callable,
-    g_grad: Callable,
-    quad_degree: int | None = None,
-    solver_config: SolverConfig | None = None,
-) -> np.ndarray:
-    """One-shot gradient projection; see RitzProjector for repeated use."""
-    return RitzProjector(mesh, basis, quad_degree, solver_config).project(g, g_grad)
-
-
 class ErrorEvaluator:
     """L2 and H1 distances between an FE coefficient vector and a smooth field."""
 
-    def __init__(self, mesh: SpatialMesh, basis: BasisSet, quad_degree: int | None = None):
-        self._qd = _QuadData(mesh, basis, quad_degree or 2 * basis.order + 2)
+    def __init__(self, mesh: SpatialMesh, basis: BasisSet):
+        self._qd = _data_quad(mesh, basis)
 
     def norms(self, values: np.ndarray, exact: Callable, exact_grad: Callable) -> tuple[float, float]:
         qd = self._qd
@@ -474,20 +429,6 @@ class ErrorEvaluator:
             np.sum(qd.wdet * ((gq[..., 0] - egx) ** 2 + (gq[..., 1] - egy) ** 2))
         )
         return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
-
-
-def error_norms(
-    mesh: SpatialMesh,
-    basis: BasisSet,
-    values: np.ndarray,
-    exact: Callable,
-    exact_grad: Callable,
-    quad_degree: int | None = None,
-) -> tuple[float, float]:
-    """L2 and full H1 norms of (FE field - exact); values may be a FieldSlice."""
-    if isinstance(values, FieldSlice):
-        values = values.values
-    return ErrorEvaluator(mesh, basis, quad_degree).norms(values, exact, exact_grad)
 
 
 def dump_matrix(matrix: sp.spmatrix, path) -> None:

@@ -15,6 +15,7 @@ for the two step sizes; scaling studies sweep the worker count.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -33,6 +34,7 @@ __all__ = [
     "ConvergenceRow",
     "ScalingRow",
     "mms_problem",
+    "run_single",
     "convergence_study",
     "characteristics_study",
     "scaling_study",
@@ -153,32 +155,26 @@ def mms_problem() -> MMSProblem:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Parameters of one study run.
+    """Parameters of a study.
 
-    kind selects the study; convergence-type studies use levels/coupling,
-    the single run uses (h, tau, iota), and scaling uses the worker sweep
-    plus fixed discretization parameters.
+    Convergence-type studies use levels, coupling and T (None: the problem's
+    final time); scaling uses the worker sweep plus fixed discretization
+    parameters.
     """
 
-    kind: str = "single"
     element_order: int = 1
     levels: tuple[float, ...] = ()  # mesh sizes h, strictly decreasing
     coupling: str = "h2"
     workers: tuple[int, ...] = ()
-    out: str | None = None
     h: float | None = None
-    tau: float | None = None
     iota: float | None = None
-    T: float = 1.0
+    T: float | None = None
     scaling_mode: str = "strong"
     block: int = 8
     n_steps: int = 32
-    snapshots: tuple[int, ...] = ()
     solver: SolverConfig | None = None
 
     def __post_init__(self):
-        if self.kind not in ("single", "convergence", "characteristics", "scaling"):
-            raise ValueError(f"unknown study kind {self.kind!r}")
         if self.element_order not in (1, 2):
             raise ValueError(f"unsupported element order {self.element_order}")
         if self.coupling not in COUPLINGS:
@@ -229,12 +225,21 @@ def run_single(
     snapshot_steps: Sequence[int] = (),
     snapshot_dir=None,
 ) -> tuple[float, float]:
-    """One run at fixed parameters; returns the worst-slice (L2, H1) errors at t=T."""
+    """One run at fixed parameters; returns the worst-slice (L2, H1) errors at t=T.
+
+    Snapshots are written by the sequential run only, into snapshot_dir,
+    which is created if missing.
+    """
+    pipelined = workers is not None and workers > 1
+    if pipelined and snapshot_steps:
+        raise ValueError("snapshots are written by sequential runs only; drop them or run one worker")
+    if snapshot_steps and snapshot_dir is not None:
+        os.makedirs(snapshot_dir, exist_ok=True)
     T = problem.T if T is None else T
     lgrid, tgrid = _grids_for(problem, h, tau, iota, T)
     mesh = build_structured_mesh(problem.domain, h, order)
     basis = reference_basis(order)
-    if workers is not None and workers > 1:
+    if pipelined:
         surface = run_pipeline(problem, mesh, basis, lgrid, tgrid, workers, solver).surface
     else:
         surface = run_sequential(
@@ -278,7 +283,7 @@ def convergence_study(config: StudyConfig, problem: MMSProblem | None = None) ->
     for h in config.levels:
         tau, iota = rule(h)
         l2, h1 = run_single(
-            problem, h, tau, iota, config.element_order, workers, solver=config.solver
+            problem, h, tau, iota, config.element_order, workers, T=config.T, solver=config.solver
         )
         if rows:
             l2_order = float(np.log2(rows[-1].l2_error / l2))

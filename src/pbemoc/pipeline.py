@@ -41,18 +41,17 @@ from multiprocessing.connection import wait
 
 import numpy as np
 
-from .characteristics import CflViolationError, LGrid, TimeGrid, check_cfl
-from .fem import RitzProjector, SolveFailure, SolverConfig
+from .characteristics import LGrid, TimeGrid
+from .fem import SolveFailure, SolverConfig
 from .mesh import BasisSet, SpatialMesh
 from .stepper import (
     Operators,
     ProblemSpec,
     SolutionSurface,
     _advance_level,
-    _check_compatibility,
-    _initial_values,
+    _initial_rows,
     _level_surface,
-    precompute_operators,
+    _prepare,
 )
 
 __all__ = [
@@ -374,22 +373,12 @@ def run_pipeline(
     solver_config: SolverConfig | None = None,
 ) -> PipelineRun:
     """Advance the surface to t=T with P pipelined worker processes over the internal grid."""
-    cfl = check_cfl(tgrid.tau, lgrid, spec.G, require_positive=False)
-    if not cfl.passed:
-        raise CflViolationError(cfl.describe())
     plan = partition(lgrid.M, P)
-    _check_compatibility(spec, mesh, lgrid)
-
     # built once here; the workers inherit them through the fork
-    ops = None  # N = 0 needs only the projections of the level-0 rows
-    if tgrid.N > 0:
-        ops = precompute_operators(mesh, basis, spec, tgrid.tau, lgrid, solver_config)
-        projector = ops.projector
-    else:
-        projector = RitzProjector(mesh, basis, solver_config=solver_config)
+    ops, projector = _prepare(spec, mesh, basis, lgrid, tgrid, solver_config)
 
     def init_block(ops: Operators | None, block: range) -> np.ndarray:
-        return np.stack([_initial_values(projector, spec, lgrid, m) for m in block])
+        return _initial_rows(projector, spec, lgrid, block)
 
     engine = _Engine(plan, tgrid.N, lambda p: ops, init_block, _advance_level)
     _, run = engine.execute()

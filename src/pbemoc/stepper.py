@@ -14,16 +14,16 @@ One kernel, advance_block, advances a contiguous block of slices of a level,
 held as a (rows, num_dofs) float64 array.  The sequential loop calls it once
 per level on slices 1..M, each pipeline worker once per level on its own
 block, and step_slice on a block of one slice.  Within a block, slices are
-processed in chunks of about CHUNK_VALUES source values: the blend, the mass
-product, the source load and the solve are one call each per chunk.  A
-SeparableSource, c(t) sum_j a_j(l) s_j(x, y), has its field loads
-L_j = integral of s_j phi_i assembled and its factors a_j(l_m) tabulated once
-per run, so a slice's load is the sum of the scaled vectors
-(c(t) a_j(l_m)) L_j; any other source is evaluated at the quadrature points
-once per slice and its load assembled per chunk.  Every system solve has the
-same fixed width (fem.PANEL right-hand sides, a partial panel padded with
-zeros), so a slice's bytes do not depend on its block, chunk or worker.  A
-level with a non-finite value raises SolveFailure carrying (n, m).
+processed in chunks of whole solver panels: the blend, the mass product and
+the solve are one call each per chunk.  A SeparableSource,
+c(t) sum_j a_j(l) s_j(x, y), has its field loads L_j = integral of s_j phi_i
+assembled and its factors a_j(l_m) tabulated once per run, so a slice's load
+is the sum of the scaled vectors (c(t) a_j(l_m)) L_j; any other source is
+evaluated at the quadrature points and its load assembled once per slice.
+Every system solve has the same fixed width (fem.PANEL right-hand sides, a
+partial panel padded with zeros), so a slice's bytes do not depend on its
+block, chunk or worker.  A level with a non-finite value raises SolveFailure
+carrying (n, m).
 """
 
 from __future__ import annotations
@@ -72,8 +72,9 @@ __all__ = [
 
 COMPAT_TOL = 1e-10
 
-# advance_block works on chunks of about CHUNK_VALUES source values at the
-# quadrature points, rounded up to whole solver panels
+# advance_block works on chunks of CHUNK_VALUES // (quadrature points) slices,
+# rounded up to whole solver panels; a chunk bounds the rows of the blend,
+# mass-product and right-hand-side buffers, each of num_dofs values
 CHUNK_VALUES = 1 << 16
 
 
@@ -172,8 +173,6 @@ class Operators:
     ):
         if tau <= 0.0:
             raise ValueError(f"step size must be positive, got {tau}")
-        self.mesh = mesh
-        self.basis = basis
         self.spec = spec
         self.tau = tau
         self.lgrid = lgrid
@@ -195,7 +194,6 @@ class Operators:
             self.source_factors = np.stack(
                 [np.broadcast_to(a(lgrid.nodes), lgrid.nodes.shape) for a in spec.f.l_factors]
             )
-        self.interior = ~mesh.boundary_mask
         self.boundary_idx = np.flatnonzero(mesh.boundary_mask)
         # the foot weights are time-independent because G does not depend on t
         self.alphas = np.zeros(lgrid.M + 1)
@@ -256,6 +254,11 @@ def _initial_values(projector: RitzProjector, spec: ProblemSpec, lgrid: LGrid, m
     )
 
 
+def _initial_rows(projector: RitzProjector, spec: ProblemSpec, lgrid: LGrid, block: range) -> np.ndarray:
+    """Level-0 values of the slices in block, one row each."""
+    return np.stack([_initial_values(projector, spec, lgrid, m) for m in block])
+
+
 def _level_surface(n: int, level: np.ndarray) -> SolutionSurface:
     """Surface whose slices view the rows of the (M+1, num_dofs) level array."""
     return SolutionSurface(n, tuple(FieldSlice(row, n=n, m=m) for m, row in enumerate(level)))
@@ -271,8 +274,7 @@ def initialize(
     """Level-0 surface: gradient projections of the initial and inflow data."""
     _check_compatibility(spec, mesh, lgrid)
     projector = operators.projector if operators is not None else RitzProjector(mesh, basis)
-    level = np.stack([_initial_values(projector, spec, lgrid, m) for m in range(lgrid.M + 1)])
-    return _level_surface(0, level)
+    return _level_surface(0, _initial_rows(projector, spec, lgrid, range(lgrid.M + 1)))
 
 
 def boundary_slice(
@@ -300,10 +302,6 @@ class _Workspace:
         ndofs = ops.mass.shape[0]
         # whole panels, so only a block's last chunk can end in a partial one
         self.rows = PANEL * max(1, -(-(CHUNK_VALUES // num_points) // PANEL))
-        if ops.source_loads is None:  # only a source evaluated per slice needs these
-            self.source_rows = np.empty((self.rows, num_points))
-            self.source = np.empty(num_points * self.rows)
-            self.nodes = ops.lgrid.nodes.tolist()
         self.blend = np.empty(ndofs * self.rows)
         self.same = np.empty(ndofs * self.rows)
         self.rhs = np.empty(ndofs * self.rows)
@@ -322,18 +320,17 @@ def advance_block(
 
     prev holds the level-(n-1) slices m0..m0+k-1 as a (k, num_dofs) array and
     left_row the level-(n-1) slice m0-1; out has the shape of prev.  Rows are
-    processed in chunks: the blend, the mass product, the source load and the
-    solve are one call each per chunk.  A separable source adds
-    (c(t) a_j(l_m)) L_j to row m one field j at a time, elementwise, so a
-    row's load does not depend on the chunk; any other source is evaluated
-    once per slice.  The solver works on panels of a fixed width, so every
-    row gets the bytes the per-slice arithmetic gives, whatever block it
-    falls in.  Raises SolveFailure at the first slice with a non-finite value.
+    processed in chunks: the blend, the mass product and the solve are one
+    call each per chunk.  A separable source adds (c(t) a_j(l_m)) L_j to row m
+    one field j at a time, elementwise, so a row's load does not depend on the
+    chunk; any other source is evaluated and its load assembled once per
+    slice.  The solver works on panels of a fixed width, so every row gets the
+    bytes the per-slice arithmetic gives, whatever block it falls in.  Raises
+    SolveFailure at the first slice with a non-finite value.
     """
     work = ops._workspace()
     spec, load, alphas = ops.spec, ops.load, ops.alphas
     ndofs = prev.shape[1]
-    num_points = load.x.size
     t = n * ops.tau
     inv_tau = 1.0 / ops.tau
     for c in range(0, prev.shape[0], work.rows):
@@ -352,12 +349,9 @@ def advance_block(
         rhs = work.rhs[: ndofs * k].reshape(k, ndofs)
         np.multiply((ops.mass @ z).T, inv_tau, out=rhs)
         if ops.source_loads is None:
-            # the source of slice m+i, written as row i and stored as column i
             for i in range(k):
-                work.source_rows[i] = spec.f(t, work.nodes[m + i], load.x, load.y)
-            source = work.source[: num_points * k].reshape(num_points, k)
-            np.copyto(source, work.source_rows[:k].T)
-            rhs += load.assemble_columns(source).T
+                l_i = float(ops.lgrid.nodes[m + i])
+                rhs[i] += load.assemble_values(spec.f(t, l_i, load.x, load.y))
         else:
             # row i gains (c(t) a_j(l_{m+i})) L_j; the blend is done with same
             c_t = spec.f.time_factor(t)
@@ -400,11 +394,8 @@ def step_slice(
     m: int,
     n: int,
     operators: Operators,
-    spec: ProblemSpec | None = None,
 ) -> FieldSlice:
     """Advance internal index m from the complete level-(n-1) surface."""
-    if spec is not None and spec is not operators.spec:
-        raise ValueError("operators were precomputed for a different problem")
     if not 1 <= m <= operators.lgrid.M:
         raise ValueError(f"internal index must lie in 1..{operators.lgrid.M}, got {m}")
     if surface_prev.n != n - 1:
@@ -415,6 +406,32 @@ def step_slice(
     out = np.empty((1, same.shape[0]))
     advance_block(operators, n, surface_prev.slices[m - 1].values, same[None, :], m, out)
     return FieldSlice(out[0], n=n, m=m)
+
+
+def _prepare(
+    spec: ProblemSpec,
+    mesh: SpatialMesh,
+    basis: BasisSet,
+    lgrid: LGrid,
+    tgrid: TimeGrid,
+    solver_config: SolverConfig | None,
+    operators: Operators | None = None,
+) -> tuple[Operators | None, RitzProjector]:
+    """Preamble of both drivers: the stability and t=0 compatibility checks,
+    then the operators (operators if given) and the level-0 projector.
+
+    At N = 0 nothing is stepped, so there are no operators and the projector
+    is built on its own, with the same solver configuration.
+    """
+    cfl = check_cfl(tgrid.tau, lgrid, spec.G, require_positive=False)
+    if not cfl.passed:
+        raise CflViolationError(cfl.describe())
+    _check_compatibility(spec, mesh, lgrid)
+    if tgrid.N == 0:
+        return None, RitzProjector(mesh, basis, solver_config)
+    if operators is None:
+        operators = precompute_operators(mesh, basis, spec, tgrid.tau, lgrid, solver_config)
+    return operators, operators.projector
 
 
 def run_sequential(
@@ -429,18 +446,10 @@ def run_sequential(
     operators: Operators | None = None,
 ) -> SolutionSurface:
     """Advance the full surface from t=0 to t=T, one advance_block call per level."""
-    cfl = check_cfl(tgrid.tau, lgrid, spec.G, require_positive=False)
-    if not cfl.passed:
-        raise CflViolationError(cfl.describe())
-
+    ops, projector = _prepare(spec, mesh, basis, lgrid, tgrid, solver_config, operators)
     snapshots = set(int(s) for s in snapshot_steps)
-    ops = None  # N = 0 needs only the projections of initialize
-    if tgrid.N > 0:
-        ops = operators if operators is not None else precompute_operators(
-            mesh, basis, spec, tgrid.tau, lgrid, solver_config
-        )
     # two level arrays, swapped after every step
-    level = initialize(mesh, basis, spec, lgrid, ops).as_matrix()
+    level = _initial_rows(projector, spec, lgrid, range(lgrid.M + 1))
     if 0 in snapshots:
         write_snapshot(_level_surface(0, level), _snapshot_path(snapshot_dir, 0))
     spare = np.empty_like(level)

@@ -14,13 +14,13 @@ import pytest
 from pbemoc.characteristics import LGrid, TimeGrid, backtrace, check_cfl
 from pbemoc.fem import (
     GradientLoadAssembler,
+    RitzProjector,
     SolverConfig,
     apply_dirichlet,
     assemble_convection,
     assemble_mass,
     assemble_stiffness,
-    ritz_projection,
-    solve,
+    make_solver,
 )
 from pbemoc.harness import StudyConfig, characteristics_study, convergence_study, scaling_study
 from pbemoc.mesh import UNIT_SQUARE, build_structured_mesh, quadrature_rule, reference_basis
@@ -35,7 +35,6 @@ def test_criterion_1_p1_spatial_convergence(mms):
     t0 = time.time()
     rows = convergence_study(
         StudyConfig(
-            kind="convergence",
             element_order=1,
             levels=(2.0**-2, 2.0**-3, 2.0**-4),
             coupling="h2",
@@ -58,7 +57,6 @@ def test_criterion_2_p2_spatial_convergence(mms):
     t0 = time.time()
     rows = convergence_study(
         StudyConfig(
-            kind="convergence",
             element_order=2,
             levels=(2.0**-1, 2.0**-2, 2.0**-3),
             coupling="h3",
@@ -81,7 +79,6 @@ def test_criterion_3_characteristics_order(mms):
     t0 = time.time()
     rows = characteristics_study(
         StudyConfig(
-            kind="characteristics",
             element_order=2,
             levels=(2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5),
             coupling="equal",
@@ -195,7 +192,6 @@ def test_criterion_5c_weak_scaling_balance(mms):
     workers = tuple(p for p in (1, 2, 4) if p <= max(cores, 2))
     rows = scaling_study(
         StudyConfig(
-            kind="scaling",
             workers=workers,
             h=2.0**-5,
             block=8,
@@ -258,7 +254,7 @@ def test_criterion_6_invariant_bundle(mms):
     hat = np.zeros(mesh.num_nodes)
     hat[np.flatnonzero(interior)[0]] = 1.0
     Ae, re = apply_dirichlet(A, A @ hat, mesh.boundary_mask)
-    if np.abs(solve(Ae, re) - hat).max() > 1e-10:
+    if np.abs(make_solver(Ae).solve(re) - hat).max() > 1e-10:
         failures.append("projection idempotence")
 
     # orthogonality of the projection residual
@@ -267,7 +263,7 @@ def test_criterion_6_invariant_bundle(mms):
         np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
         np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
     )
-    v = ritz_projection(mesh, basis, g, grad)
+    v = RitzProjector(mesh, basis).project(g, grad)
     resid = A @ v - GradientLoadAssembler(mesh, basis).assemble(grad)
     if np.abs(resid[interior]).max() > 1e-10:
         failures.append("projection orthogonality")
@@ -314,7 +310,7 @@ def test_criterion_7_dense_oracle_equivalence(mms):
         lambda x, y: (np.cos(x), np.sin(y))
     )
     Ae, re = apply_dirichlet(A, rhs, mesh.boundary_mask)
-    got = solve(Ae, re)
+    got = make_solver(Ae).solve(re)
     Ad = oracles.dense_operator(mesh, quadrature_rule(2), "stiffness")
     rd = oracles.dense_grad_load(mesh, quadrature_rule(4), lambda x, y: (np.cos(x), np.sin(y)))
     Ad, rd = oracles.dense_eliminate(Ad, rd, mesh.boundary_mask)
@@ -326,7 +322,7 @@ def test_criterion_7_dense_oracle_equivalence(mms):
         np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
         np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
     )
-    got = ritz_projection(mesh, basis, g, grad)
+    got = RitzProjector(mesh, basis).project(g, grad)
     rd = oracles.dense_grad_load(mesh, quadrature_rule(4), grad)
     Ad2, rd2 = oracles.dense_eliminate(
         oracles.dense_operator(mesh, quadrature_rule(2), "stiffness"), rd, mesh.boundary_mask

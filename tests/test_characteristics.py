@@ -40,21 +40,11 @@ def test_lgrid_validation():
 def test_timegrid():
     t = TimeGrid(1.0, 8)
     assert t.tau == 0.125
-    np.testing.assert_allclose(t.times, np.arange(9) / 8.0)
     assert TimeGrid(1.0, 0).tau == 0.0
     with pytest.raises(ValueError):
         TimeGrid(0.0, 4)
     with pytest.raises(ValueError):
         TimeGrid(1.0, -1)
-
-
-def test_timegrid_times_are_the_stepping_times():
-    # the stepping takes level n at n * tau; 49 * (1/49) is not 1.0
-    t = TimeGrid(1.0, 49)
-    for n in range(t.N + 1):
-        assert t.times[n] == n * t.tau
-    assert t.times[-1] == 49 * (1.0 / 49)
-    assert TimeGrid(1.0, 0).times.tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------

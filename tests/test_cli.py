@@ -101,6 +101,33 @@ def test_snapshots_written_for_single_run(tmp_path, capsys):
     assert len(first) == 3
 
 
+def test_snapshots_with_workers_exit_with_a_configuration_error(tmp_path, capsys):
+    code = cli_main(
+        [
+            "--study", "single",
+            "--h", "0.5",
+            "--tau", "0.25",
+            "--iota", "0.25",
+            "--workers", "2",
+            "--snapshots", "0,4",
+            "--out", str(tmp_path / "snapshots"),
+        ]
+    )
+    assert code == EXIT_CONFIG
+    assert "sequential" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # not even the output directory
+
+
+def test_final_time_flag_reaches_convergence_studies(capsys):
+    args = ["--study", "convergence", "--element", "p1", "--levels", "1,2", "--coupling", "equal"]
+    tables = []
+    for extra in ([], ["--T", "1"], ["--T", "0.5"]):
+        assert cli_main(args + extra) == EXIT_OK
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]  # the problem's final time is 1
+    assert tables[2] != tables[1]
+
+
 def test_scaling_study_csv(tmp_path, capsys):
     out = tmp_path / "scaling.csv"
     code = cli_main(

@@ -142,8 +142,6 @@ def test_exact_gradient_consistent_with_exact(mms):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="kind"):
-        StudyConfig(kind="banana")
     with pytest.raises(ValueError, match="order"):
         StudyConfig(element_order=3)
     with pytest.raises(ValueError, match="coupling"):
@@ -162,11 +160,9 @@ def test_coupling_rules():
 
 def test_characteristics_study_requires_quadratic_equal():
     with pytest.raises(ValueError, match="quadratic"):
-        characteristics_study(StudyConfig(kind="characteristics", element_order=1,
-                                          levels=(0.25,), coupling="equal"))
+        characteristics_study(StudyConfig(element_order=1, levels=(0.25,), coupling="equal"))
     with pytest.raises(ValueError, match="tau = iota"):
-        characteristics_study(StudyConfig(kind="characteristics", element_order=2,
-                                          levels=(0.25,), coupling="h2"))
+        characteristics_study(StudyConfig(element_order=2, levels=(0.25,), coupling="h2"))
 
 
 def test_study_rejected_before_any_run_on_cfl_violation(mms):
@@ -175,7 +171,7 @@ def test_study_rejected_before_any_run_on_cfl_violation(mms):
     import dataclasses
 
     fast = dataclasses.replace(mms, G=lambda l: np.full_like(np.asarray(l, dtype=float), 3.0))
-    config = StudyConfig(kind="convergence", element_order=1, levels=(0.5, 0.25), coupling="equal")
+    config = StudyConfig(element_order=1, levels=(0.5, 0.25), coupling="equal")
     with pytest.raises(CflViolationError):
         convergence_study(config, fast)
 
@@ -185,7 +181,7 @@ def test_study_rejected_before_any_run_on_cfl_violation(mms):
 
 
 def test_convergence_rows_and_order_columns(mms):
-    config = StudyConfig(kind="convergence", element_order=1, levels=(0.5, 0.25), coupling="h2")
+    config = StudyConfig(element_order=1, levels=(0.5, 0.25), coupling="h2")
     rows = convergence_study(config)
     assert len(rows) == 2
     assert rows[0].l2_order is None and rows[0].h1_order is None
@@ -196,13 +192,28 @@ def test_convergence_rows_and_order_columns(mms):
 
 
 def test_convergence_study_with_workers_matches_sequential(mms):
-    base = StudyConfig(kind="convergence", element_order=1, levels=(0.25,), coupling="h2")
+    base = StudyConfig(element_order=1, levels=(0.25,), coupling="h2")
     seq_rows = convergence_study(base)
     par_rows = convergence_study(
-        StudyConfig(kind="convergence", element_order=1, levels=(0.25,), coupling="h2", workers=(2,))
+        StudyConfig(element_order=1, levels=(0.25,), coupling="h2", workers=(2,))
     )
     assert par_rows[0].l2_error == seq_rows[0].l2_error
     assert par_rows[0].h1_error == seq_rows[0].h1_error
+
+
+def test_convergence_study_runs_to_the_configured_final_time(mms):
+    config = StudyConfig(element_order=1, levels=(0.5,), coupling="equal", T=0.5)
+    row = convergence_study(config)[0]
+    assert (row.l2_error, row.h1_error) == run_single(mms, 0.5, 0.5, 0.5, T=0.5)
+    default = convergence_study(StudyConfig(element_order=1, levels=(0.5,), coupling="equal"))[0]
+    assert (default.l2_error, default.h1_error) == run_single(mms, 0.5, 0.5, 0.5, T=mms.T)
+    assert default.l2_error != row.l2_error
+
+
+def test_pipelined_run_rejects_snapshots_before_running(mms, tmp_path):
+    with pytest.raises(ValueError, match="sequential"):
+        run_single(mms, 0.5, 0.25, 0.25, workers=2, snapshot_steps=(0,), snapshot_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_halving_the_internal_spacing_halves_the_transport_error(mms):
@@ -217,7 +228,7 @@ def test_halving_the_internal_spacing_halves_the_transport_error(mms):
 
 def test_scaling_study_strong_and_weak(mms):
     config = StudyConfig(
-        kind="scaling", workers=(1, 2), h=0.25, iota=1.0 / 16, n_steps=4, scaling_mode="strong"
+        workers=(1, 2), h=0.25, iota=1.0 / 16, n_steps=4, scaling_mode="strong"
     )
     rows = scaling_study(config)
     assert [r.workers for r in rows] == [1, 2]
@@ -225,7 +236,7 @@ def test_scaling_study_strong_and_weak(mms):
     assert all(r.total_seconds > 0 for r in rows)
 
     weak = scaling_study(
-        StudyConfig(kind="scaling", workers=(1, 2), h=0.25, block=4, n_steps=4, scaling_mode="weak")
+        StudyConfig(workers=(1, 2), h=0.25, block=4, n_steps=4, scaling_mode="weak")
     )
     assert all(r.max_worker_seconds >= r.avg_worker_seconds > 0 for r in weak)
 
@@ -236,7 +247,7 @@ def test_scaling_study_strong_and_weak(mms):
 
 def test_convergence_csv_round_trip(tmp_path, mms):
     rows = convergence_study(
-        StudyConfig(kind="convergence", element_order=1, levels=(0.5, 0.25), coupling="h2")
+        StudyConfig(element_order=1, levels=(0.5, 0.25), coupling="h2")
     )
     path = tmp_path / "table.csv"
     write_convergence_csv(rows, path)
@@ -280,7 +291,7 @@ def test_scaling_csv_round_trip(tmp_path):
 
 
 def test_study_csv_deterministic(tmp_path):
-    config = StudyConfig(kind="convergence", element_order=1, levels=(0.5,), coupling="h2")
+    config = StudyConfig(element_order=1, levels=(0.5,), coupling="h2")
     a = format_convergence_rows(convergence_study(config))
     b = format_convergence_rows(convergence_study(config))
     assert a == b

@@ -111,6 +111,16 @@ def test_pipeline_n_zero_matches_initialization(mms):
     assert run.messages_sent == 0
 
 
+def test_pipeline_n_zero_matches_sequential_bytes_under_iterative_solver(mms):
+    # both drivers share one preamble, so both project with the configured solver
+    mesh, basis, lgrid, _ = pipeline_setup(M=4)
+    config = SolverConfig(mode="iterative", tol=1e-12)
+    tgrid = TimeGrid(1.0, 0)
+    seq = run_sequential(mms, mesh, basis, lgrid, tgrid, config)
+    run = run_pipeline(mms, mesh, basis, lgrid, tgrid, 2, config)
+    assert run.surface.as_matrix().tobytes() == seq.as_matrix().tobytes()
+
+
 # ---------------------------------------------------------------------------
 # engine behaviour on a synthetic fixed-cost stage
 

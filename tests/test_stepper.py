@@ -202,7 +202,7 @@ def test_boundary_slice_exponential_scaling():
     for n in (1, 3):
         sn = boundary_slice(n, tgrid, mesh, basis, spec)
         np.testing.assert_allclose(
-            sn.values, np.exp(-tgrid.times[n]) * s0.values, rtol=1e-12, atol=1e-15
+            sn.values, np.exp(-n * tgrid.tau) * s0.values, rtol=1e-12, atol=1e-15
         )
 
 
