@@ -92,9 +92,6 @@ class CflCheck:
     max_growth: float
     ratio: float
 
-    def __bool__(self) -> bool:
-        return self.passed
-
     def describe(self) -> str:
         if self.passed:
             return (
@@ -115,18 +112,18 @@ def _sample_growth(lgrid: LGrid, G: Callable) -> np.ndarray:
     return vals
 
 
-def check_cfl(tau: float, lgrid: LGrid, G: Callable, require_positive: bool = True) -> CflCheck:
+def check_cfl(tau: float, lgrid: LGrid, G: Callable) -> CflCheck:
     """Check tau <= iota / max G, with max G estimated on CFL_SAMPLES cells.
 
-    The growth rate must be positive everywhere (require_positive=False relaxes
-    this to nonnegative, which degenerates the transport to a no-op).
+    The growth rate must be nonnegative everywhere; where it is zero the
+    transport is a no-op.
     """
     vals = _sample_growth(lgrid, G)
-    bad = vals <= 0.0 if require_positive else vals < 0.0
+    bad = vals < 0.0
     if np.any(bad):
         raise ValueError(
-            f"growth rate must be {'positive' if require_positive else 'nonnegative'} "
-            f"on the internal interval; sampled value {float(vals[bad][0]):g}"
+            "growth rate must be nonnegative on the internal interval; "
+            f"sampled value {float(vals[bad][0]):g}"
         )
     max_growth = float(vals.max())
     iota = lgrid.iota

@@ -10,7 +10,9 @@ One run with four pipelined workers:
 
     pbemoc --study single --h 0.125 --tau 0.0625 --iota 0.0625 --workers 4
 
-Flags may also be given in a plain `key = value` config file; explicit flags win.
+Flags may also be given in a plain `key = value` config file; each entry is
+parsed as the flag `--key=value` ahead of the command line, so file values
+are checked like flags and explicit flags win.
 """
 
 from __future__ import annotations
@@ -43,6 +45,15 @@ EXIT_SOLVER = 4
 EXIT_CONFIG = 5
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+def _mesh_levels(text: str) -> tuple[float, ...]:
+    """Exponents k1,k2,... as the mesh sizes 2^-k."""
+    return tuple(2.0 ** -int(k) for k in text.split(","))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pbemoc",
@@ -53,16 +64,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, help="mesh size for single/scaling runs")
     p.add_argument("--tau", type=float, help="time step for single runs")
     p.add_argument("--iota", type=float, help="internal-coordinate spacing")
-    p.add_argument("--levels", help="comma-separated exponents k meaning h = 2^-k")
+    p.add_argument("--levels", type=_mesh_levels, help="comma-separated exponents k meaning h = 2^-k")
     p.add_argument("--coupling", choices=["h2", "h3", "equal"], help="rule for (tau, iota) from h")
-    p.add_argument("--workers", help="worker count (single/convergence) or comma list (scaling)")
+    p.add_argument("--workers", type=_int_list, help="worker count, or comma list for scaling")
     p.add_argument("--T", type=float, help="final time of single and convergence runs (default 1)")
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--config", help="key = value file supplying defaults for any flag")
-    p.add_argument("--snapshots", help="comma-separated time-step indices to export (sequential runs)")
-    p.add_argument("--mode", choices=["strong", "weak"], help="scaling study mode (default strong)")
-    p.add_argument("--block", type=int, help="per-worker block size for weak scaling (default 8)")
-    p.add_argument("--steps", type=int, help="number of time steps for scaling runs (default 32)")
+    p.add_argument("--snapshots", type=_int_list, help="time-step indices to export (sequential runs)")
+    p.add_argument("--mode", choices=["strong", "weak"], default="strong", help="scaling mode")
+    p.add_argument("--block", type=int, default=8, help="per-worker block for weak scaling (default 8)")
+    p.add_argument("--steps", type=int, default=32, help="time steps of scaling runs (default 32)")
     p.add_argument("--solver", choices=["direct", "iterative"], help="linear solver (default direct)")
     p.add_argument("--solver-tol", type=float, help="iterative solver tolerance (default 1e-10)")
     return p
@@ -82,37 +93,30 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    if not args.config:
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; with --config, again with the file's entries as flags ahead of argv.
+
+    File values thus pass the flags' types and choices, and a flag on the
+    command line wins because argparse keeps the last occurrence.
+    """
+    args = parser.parse_args(argv)
+    if args.config is None:
         return args
+    flags = {a.dest: a.option_strings[-1] for a in parser._actions if a.dest not in ("help", "config")}
     file_values = _read_config_file(args.config)
-    unknown = set(file_values) - {a.dest for a in parser._actions}
+    unknown = set(file_values) - set(flags)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in file_values.items():
-        if getattr(args, key, None) is None:  # explicit flags win
-            setattr(args, key, value)
-    return args
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in str(text).split(",") if str(v).strip())
-
-
-def _as_level(h_exponent) -> float:
-    return 2.0 ** -int(h_exponent)
+    return parser.parse_args([f"{flags[key]}={value}" for key, value in file_values.items()] + argv)
 
 
 def cli_main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        return _dispatch(_parse(parser, argv))
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
-
-    try:
-        args = _merge_config(args, parser)
-        return _dispatch(args)
     except (ValueError, OSError) as exc:
         print(f"pbemoc: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -128,7 +132,7 @@ def _solver_from(args) -> SolverConfig | None:
     if args.solver is None and args.solver_tol is None:
         return None
     mode = args.solver or "iterative"
-    tol = float(args.solver_tol) if args.solver_tol is not None else 1e-10
+    tol = args.solver_tol if args.solver_tol is not None else 1e-10
     return SolverConfig(mode=mode, tol=tol)
 
 
@@ -142,17 +146,17 @@ def _dispatch(args) -> int:
     if study == "single":
         if args.h is None or args.tau is None or args.iota is None:
             raise ValueError("single study requires --h, --tau and --iota")
-        workers = _parse_int_list(args.workers)[0] if args.workers else None
-        snapshots = _parse_int_list(args.snapshots) if args.snapshots else ()
+        workers = args.workers[0] if args.workers else None
+        snapshots = args.snapshots or ()
         snapshot_dir = (args.out or ".") if snapshots else None
         l2, h1 = run_single(
             mms_problem(),
-            float(args.h),
-            float(args.tau),
-            float(args.iota),
+            args.h,
+            args.tau,
+            args.iota,
             order,
             workers,
-            T=float(args.T) if args.T is not None else None,
+            T=args.T,
             solver=solver,
             snapshot_steps=snapshots,
             snapshot_dir=snapshot_dir,
@@ -166,16 +170,15 @@ def _dispatch(args) -> int:
     if study in ("convergence", "characteristics"):
         if not args.levels:
             raise ValueError(f"{study} study requires --levels")
-        levels = tuple(_as_level(k) for k in str(args.levels).split(","))
         coupling = args.coupling or ("equal" if study == "characteristics" else "h2")
         if study == "characteristics":
             order = 2 if args.element is None else order
         config = StudyConfig(
             element_order=order,
-            levels=levels,
+            levels=args.levels,
             coupling=coupling,
-            workers=_parse_int_list(args.workers) if args.workers else (),
-            T=float(args.T) if args.T is not None else None,
+            workers=args.workers or (),
+            T=args.T,
             solver=solver,
         )
         rows = characteristics_study(config) if study == "characteristics" else convergence_study(config)
@@ -189,12 +192,12 @@ def _dispatch(args) -> int:
     # scaling
     config = StudyConfig(
         element_order=order,
-        workers=_parse_int_list(args.workers) if args.workers else (1, 2),
-        h=float(args.h) if args.h is not None else None,
-        iota=float(args.iota) if args.iota is not None else None,
-        scaling_mode=args.mode or "strong",
-        block=int(args.block) if args.block is not None else 8,
-        n_steps=int(args.steps) if args.steps is not None else 32,
+        workers=args.workers or (1, 2),
+        h=args.h,
+        iota=args.iota,
+        scaling_mode=args.mode,
+        block=args.block,
+        n_steps=args.steps,
         solver=solver,
     )
     rows = scaling_study(config)

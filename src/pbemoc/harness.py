@@ -256,13 +256,12 @@ def run_single(
     return worst_l2, worst_h1
 
 
-def _precheck_cfl(problem: MMSProblem, levels, coupling: str) -> None:
+def _precheck_cfl(problem: MMSProblem, levels, coupling: str, T: float) -> None:
+    """Build every level's grids and check its stability bound before any level runs."""
     rule = COUPLINGS[coupling]
     for h in levels:
-        tau, iota = rule(h)
-        span = problem.l_max - problem.l_min
-        M = int(round(span / iota))
-        report = check_cfl(tau, problem.lgrid(max(M, 1)), problem.G)
+        lgrid, tgrid = _grids_for(problem, h, *rule(h), T)
+        report = check_cfl(tgrid.tau, lgrid, problem.G)
         if not report.passed:
             raise CflViolationError(f"level h={h}: {report.describe()}")
 
@@ -275,7 +274,8 @@ def convergence_study(config: StudyConfig, problem: MMSProblem | None = None) ->
     if not config.levels:
         raise ValueError("convergence study needs at least one mesh level")
     problem = problem if problem is not None else mms_problem()
-    _precheck_cfl(problem, config.levels, config.coupling)
+    T = problem.T if config.T is None else config.T
+    _precheck_cfl(problem, config.levels, config.coupling, T)
     rule = COUPLINGS[config.coupling]
     workers = config.workers[0] if config.workers else None
 
@@ -283,7 +283,7 @@ def convergence_study(config: StudyConfig, problem: MMSProblem | None = None) ->
     for h in config.levels:
         tau, iota = rule(h)
         l2, h1 = run_single(
-            problem, h, tau, iota, config.element_order, workers, T=config.T, solver=config.solver
+            problem, h, tau, iota, config.element_order, workers, T=T, solver=config.solver
         )
         if rows:
             l2_order = float(np.log2(rows[-1].l2_error / l2))
@@ -320,17 +320,18 @@ def scaling_study(config: StudyConfig, problem: MMSProblem | None = None) -> lis
     order = config.element_order
     mesh = build_structured_mesh(problem.domain, h, order)
     basis = reference_basis(order)
+    span = problem.l_max - problem.l_min
 
     rows: list[ScalingRow] = []
     baseline: PipelineRun | None = None
     for P in workers:
-        if config.scaling_mode == "strong":
-            iota = config.iota if config.iota is not None else (problem.l_max - problem.l_min) / 128
-        else:
+        if config.scaling_mode == "weak":
             M = config.block * P - 1
-            iota = (problem.l_max - problem.l_min) / M
-        span = problem.l_max - problem.l_min
-        lgrid = problem.lgrid(int(round(span / iota)))
+        elif config.iota is not None:
+            M = int(round(span / config.iota))
+        else:
+            M = 128
+        lgrid = problem.lgrid(M)
         tau = lgrid.iota
         tgrid = TimeGrid(config.n_steps * tau, config.n_steps)
         run = run_pipeline(problem, mesh, basis, lgrid, tgrid, P, config.solver)

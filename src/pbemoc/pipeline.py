@@ -15,10 +15,11 @@ message is one float64 buffer holding the sender and the level ahead of the
 row, read into a preallocated buffer on the other side.  The dependency
 between workers is acyclic, so a send that blocks on a full pipe only waits
 for a neighbour that is still computing, and the pipeline cannot deadlock.
-Each worker sends its final block, busy time, step spans and message count
-back over a result pipe of its own.  Every worker performs the same floating
-point operations as the sequential loop, so the assembled result is bitwise
-equal to the sequential one under the direct solver.
+Each worker sends its final block, its spans (one per level it computed)
+and its message count back over a result pipe of its own.  Every worker
+performs the same floating point operations as the sequential loop, so the
+assembled result is bitwise equal to the sequential one under the direct
+solver.
 
 A failing worker reports its error; a worker that dies without a report is
 seen through its process sentinel, and its step is read from a shared
@@ -37,6 +38,7 @@ import pickle
 import signal
 import time
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing.connection import wait
 
 import numpy as np
@@ -45,7 +47,6 @@ from .characteristics import LGrid, TimeGrid
 from .fem import SolveFailure, SolverConfig
 from .mesh import BasisSet, SpatialMesh
 from .stepper import (
-    Operators,
     ProblemSpec,
     SolutionSurface,
     _advance_level,
@@ -101,10 +102,6 @@ class PipelinePlan:
     P: int
     blocks: tuple[range, ...]
 
-    @property
-    def M(self) -> int:
-        return self.blocks[-1].stop - 1
-
 
 def partition(M: int, P: int) -> PipelinePlan:
     """Split the M+1 internal indices into P contiguous blocks.
@@ -130,14 +127,22 @@ def partition(M: int, P: int) -> PipelinePlan:
 
 @dataclass(eq=False)
 class PipelineRun:
-    """Result of a pipelined run: final surface plus timing and traffic counters."""
+    """Result of a pipelined run: final surface plus timing and traffic counters.
+
+    step_spans[p][n] is the (start, end) perf_counter span in which worker p
+    computed its rows of level n, level 0 included.
+    """
 
     surface: SolutionSurface
     plan: PipelinePlan
     wall_seconds: float
-    worker_busy_seconds: list
     messages_sent: int
-    step_spans: list  # per worker: [(start, end), ...]
+    step_spans: list
+
+    @property
+    def worker_busy_seconds(self) -> list:
+        """Each worker's time inside its spans."""
+        return [sum(end - start for start, end in spans) for spans in self.step_spans]
 
 
 class _Worker:
@@ -155,29 +160,25 @@ class _Worker:
         self.inbox = inbox
         self.outbox = outbox
         self.message = None
-        self.busy = 0.0
         self.spans = []
         self.sent = 0
 
     def run(self) -> np.ndarray:
         eng = self.engine
         t0 = time.perf_counter()
-        ctx = eng.worker_setup(self.p)
-        values = eng.init_block(ctx, self.block)
+        values = eng.init_block(self.block)
         spare = np.empty_like(values)
         self.message = np.empty(HEADER + values.shape[1])
-        self.busy += time.perf_counter() - t0
+        self.spans.append((t0, time.perf_counter()))
         self._send(0, values)
 
         for n in range(1, eng.n_steps + 1):
             eng.steps[self.p] = n
             left = self._receive(n) if self.inbox is not None else None
             t0 = time.perf_counter()
-            eng.advance(ctx, n, left, values, self.block.start, spare)
+            eng.advance(n, left, values, self.block.start, spare)
             values, spare = spare, values
-            t1 = time.perf_counter()
-            self.busy += t1 - t0
-            self.spans.append((t0, t1))
+            self.spans.append((t0, time.perf_counter()))
             self._send(n, values)
         return values
 
@@ -218,23 +219,22 @@ class _Worker:
 class _Engine:
     """Forks the workers, wires their links, and gathers their results.
 
-    worker_setup(p) returns a worker's context; init_block(ctx, block) returns
-    the level-0 rows of a block as one array; advance(ctx, n, left, prev, m0,
-    out) fills out with the level-n rows of the block starting at index m0,
-    from its level-(n-1) rows prev and the neighbour's row left (None for the
-    first worker).  The callbacks run in the worker processes; whatever they
-    close over is inherited through the fork.
+    init_block(block) returns the level-0 rows of a block as one array;
+    advance(n, left, prev, m0, out) fills out with the level-n rows of the
+    block starting at index m0, from its level-(n-1) rows prev and the
+    neighbour's row left (None for the first worker).  The callbacks run in
+    the worker processes; whatever they close over is inherited through the
+    fork.
     """
 
-    def __init__(self, plan: PipelinePlan, n_steps: int, worker_setup, init_block, advance):
+    def __init__(self, plan: PipelinePlan, n_steps: int, init_block, advance):
         self.plan = plan
         self.n_steps = n_steps
-        self.worker_setup = worker_setup
         self.init_block = init_block
         self.advance = advance
         self.steps = None  # each worker's current step, in memory shared with the workers
 
-    def execute(self):
+    def execute(self) -> PipelineRun:
         mp = _fork_context()
         P = self.plan.P
         # an anonymous mapping stays shared across fork
@@ -271,14 +271,12 @@ class _Engine:
                 reader.close()
         wall = time.perf_counter() - t_start
 
-        values = np.concatenate([r[0] for r in reports])
-        return values, PipelineRun(
-            surface=_level_surface(self.n_steps, values),
+        return PipelineRun(
+            surface=_level_surface(self.n_steps, np.concatenate([r[0] for r in reports])),
             plan=self.plan,
             wall_seconds=wall,
-            worker_busy_seconds=[r[1] for r in reports],
-            messages_sent=sum(r[3] for r in reports),
-            step_spans=[r[2] for r in reports],
+            messages_sent=sum(r[2] for r in reports),
+            step_spans=[r[1] for r in reports],
         )
 
     def _child(self, p: int, links, results) -> None:
@@ -293,7 +291,7 @@ class _Engine:
         worker = _Worker(self, p, inbox, outbox)
         try:
             values = worker.run()
-            message = ("done", (values, worker.busy, worker.spans, worker.sent))
+            message = ("done", (values, worker.spans, worker.sent))
         except Exception as exc:  # noqa: BLE001 - reported to the caller
             message = ("failed", _portable(exc))
         # sent before this process exits and closes its links, so a neighbour
@@ -301,7 +299,7 @@ class _Engine:
         report.send(message)
 
     def _gather(self, procs, readers) -> list:
-        """Every worker's (values, busy, spans, sent); PipelineError at the first failure."""
+        """Every worker's (values, spans, sent); PipelineError at the first failure."""
         reports = [None] * self.plan.P
         pending = set(range(self.plan.P))
         while pending:
@@ -376,13 +374,10 @@ def run_pipeline(
     plan = partition(lgrid.M, P)
     # built once here; the workers inherit them through the fork
     ops, projector = _prepare(spec, mesh, basis, lgrid, tgrid, solver_config)
-
-    def init_block(ops: Operators | None, block: range) -> np.ndarray:
-        return _initial_rows(projector, spec, lgrid, block)
-
-    engine = _Engine(plan, tgrid.N, lambda p: ops, init_block, _advance_level)
-    _, run = engine.execute()
-    return run
+    engine = _Engine(
+        plan, tgrid.N, partial(_initial_rows, projector, spec, lgrid), partial(_advance_level, ops)
+    )
+    return engine.execute()
 
 
 @dataclass(frozen=True)

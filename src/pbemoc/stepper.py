@@ -145,21 +145,18 @@ class SolutionSurface:
     def __post_init__(self):
         self.slices = tuple(self.slices)
 
-    @property
-    def M(self) -> int:
-        return len(self.slices) - 1
-
     def as_matrix(self) -> np.ndarray:
         """Stacked slice values, shape (M+1, num_dofs)."""
         return np.stack([s.values for s in self.slices])
 
 
 class Operators:
-    """Assembled matrices, factorizations, quadrature caches, and the field
-    loads of a separable source, for one run.
+    """Assembled matrices, factorizations, quadrature caches, the field
+    loads of a separable source, and the chunk buffers of advance_block, for
+    one run.
 
-    The kernel buffers are allocated on first use, so each pipeline worker
-    process, which inherits the operators through fork, allocates its own.
+    Pipeline workers inherit the operators through fork; a worker's first
+    write to a buffer gives it a copy of its own.
     """
 
     def __init__(
@@ -199,7 +196,7 @@ class Operators:
         self.alphas = np.zeros(lgrid.M + 1)
         for m in range(1, lgrid.M + 1):
             self.alphas[m] = backtrace(m, tau, lgrid, spec.G).alpha
-        self._work = None
+        self._work = _Workspace(self)
 
     def solve_system(self, rhs: np.ndarray) -> np.ndarray:
         """Solve a (k, num_dofs) block of right-hand sides, one per row.
@@ -208,11 +205,6 @@ class Operators:
         """
         rhs = np.asarray(rhs, dtype=float)
         return self._solver.solve_rows(rhs.reshape(-1, rhs.shape[-1])).reshape(rhs.shape)
-
-    def _workspace(self) -> "_Workspace":
-        if self._work is None:
-            self._work = _Workspace(self)
-        return self._work
 
 
 def precompute_operators(
@@ -269,12 +261,12 @@ def initialize(
     basis: BasisSet,
     spec: ProblemSpec,
     lgrid: LGrid,
-    operators: Operators | None = None,
+    operators: Operators,
 ) -> SolutionSurface:
-    """Level-0 surface: gradient projections of the initial and inflow data."""
+    """Level-0 surface: gradient projections of the initial and inflow data,
+    with the projector, and so the solver, of operators."""
     _check_compatibility(spec, mesh, lgrid)
-    projector = operators.projector if operators is not None else RitzProjector(mesh, basis)
-    return _level_surface(0, _initial_rows(projector, spec, lgrid, range(lgrid.M + 1)))
+    return _level_surface(0, _initial_rows(operators.projector, spec, lgrid, range(lgrid.M + 1)))
 
 
 def boundary_slice(
@@ -283,15 +275,15 @@ def boundary_slice(
     mesh: SpatialMesh,
     basis: BasisSet,
     spec: ProblemSpec,
-    operators: Operators | None = None,
+    operators: Operators,
 ) -> FieldSlice:
-    """Slice m=0 at time level n: gradient projection of the inflow data.
+    """Slice m=0 at time level n: gradient projection of the inflow data with
+    the projector of operators.
 
     The inflow is taken at t = n*tau, the time at which the other slices of
     level n evaluate the source.
     """
-    projector = operators.projector if operators is not None else RitzProjector(mesh, basis)
-    return FieldSlice(_project_boundary(projector, spec, n * tgrid.tau), n=n, m=0)
+    return FieldSlice(_project_boundary(operators.projector, spec, n * tgrid.tau), n=n, m=0)
 
 
 class _Workspace:
@@ -328,7 +320,7 @@ def advance_block(
     bytes the per-slice arithmetic gives, whatever block it falls in.  Raises
     SolveFailure at the first slice with a non-finite value.
     """
-    work = ops._workspace()
+    work = ops._work
     spec, load, alphas = ops.spec, ops.load, ops.alphas
     ndofs = prev.shape[1]
     t = n * ops.tau
@@ -423,7 +415,7 @@ def _prepare(
     At N = 0 nothing is stepped, so there are no operators and the projector
     is built on its own, with the same solver configuration.
     """
-    cfl = check_cfl(tgrid.tau, lgrid, spec.G, require_positive=False)
+    cfl = check_cfl(tgrid.tau, lgrid, spec.G)
     if not cfl.passed:
         raise CflViolationError(cfl.describe())
     _check_compatibility(spec, mesh, lgrid)

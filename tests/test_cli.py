@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pbemoc.cli import EXIT_CFL, EXIT_CONFIG, EXIT_OK, cli_main
+from pbemoc.cli import EXIT_CFL, EXIT_CONFIG, EXIT_OK, EXIT_USAGE, _build_parser, _parse, cli_main
 from pbemoc.harness import read_convergence_csv, read_scaling_csv
 
 
@@ -74,6 +74,45 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
     rows = read_convergence_csv(out)
     assert len(rows) == 1
     assert rows[0].h == 0.25  # the explicit flag overrode the file's level 1
+
+
+@pytest.mark.parametrize(
+    "entries, code",
+    [
+        # file values reach the study with the flags' types
+        ({"study": "single", "h": "0.5", "tau": "0.25", "iota": "0.25"}, EXIT_OK),
+        # and are checked against the flags' choices
+        ({"study": "banana"}, EXIT_USAGE),
+        ({"study": "single", "element": "p3"}, EXIT_USAGE),
+    ],
+    ids=["numbers", "bad-study", "bad-element"],
+)
+def test_config_file_values_behave_like_the_same_flags(tmp_path, capsys, entries, code):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+    assert cli_main(["--config", str(cfg)]) == code
+    from_file = capsys.readouterr()
+    flags = [token for key, value in entries.items() for token in (f"--{key}", value)]
+    assert cli_main(flags) == code
+    from_flags = capsys.readouterr()
+    assert (from_file.out, from_file.err) == (from_flags.out, from_flags.err)
+
+
+OPTIONS = [a for a in _build_parser()._actions if a.option_strings and a.dest not in ("help", "config")]
+
+
+@pytest.mark.parametrize("action", OPTIONS, ids=[a.dest for a in OPTIONS])
+def test_every_option_parses_the_same_from_a_config_file(tmp_path, action):
+    # "3" is a valid value of every option without choices
+    value = action.choices[-1] if action.choices else "3"
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{action.dest} = {value}\n")
+    parser = _build_parser()
+    from_file = vars(_parse(parser, ["--config", str(cfg)]))
+    from_flag = vars(_parse(parser, [action.option_strings[-1], value]))
+    assert from_file.pop("config") == str(cfg) and from_flag.pop("config") is None
+    assert from_file == from_flag
+    assert from_file[action.dest] != parser.get_default(action.dest)
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):

@@ -176,6 +176,32 @@ def test_study_rejected_before_any_run_on_cfl_violation(mms):
         convergence_study(config, fast)
 
 
+def test_study_rejects_a_level_whose_grids_do_not_divide_before_any_run(mms, monkeypatch):
+    # h = 0.3 gives iota = tau = 0.3, which divides neither [0, 1] nor T = 1
+    from pbemoc import harness
+
+    calls = []
+
+    def counting_run_single(*args, **kwargs):
+        calls.append(args)
+        return run_single(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_single", counting_run_single)
+    config = StudyConfig(element_order=1, levels=(0.5, 0.3), coupling="equal")
+    with pytest.raises(ValueError, match="does not divide"):
+        convergence_study(config)
+    assert calls == []
+
+
+def test_study_accepts_the_zero_growth_the_runs_accept(mms):
+    import dataclasses
+
+    still = dataclasses.replace(mms, G=lambda l: np.zeros_like(np.asarray(l, dtype=float)))
+    config = StudyConfig(element_order=1, levels=(0.5,), coupling="equal")
+    row = convergence_study(config, still)[0]
+    assert (row.l2_error, row.h1_error) == run_single(still, 0.5, 0.5, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # studies (cheap levels only; the acceptance suite runs the real tables)
 

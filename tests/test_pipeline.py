@@ -19,7 +19,7 @@ from pbemoc.pipeline import (
     run_pipeline,
     timing_report,
 )
-from pbemoc.stepper import run_sequential
+from pbemoc.stepper import initialize, precompute_operators, run_sequential
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +102,10 @@ def test_message_count(mms, P):
 
 
 def test_pipeline_n_zero_matches_initialization(mms):
-    from pbemoc.stepper import initialize
-
     mesh, basis, lgrid, _ = pipeline_setup(M=4)
     run = run_pipeline(mms, mesh, basis, lgrid, TimeGrid(1.0, 0), 2)
-    init = initialize(mesh, basis, mms, lgrid)
+    # the level-0 projections do not depend on the step size
+    init = initialize(mesh, basis, mms, lgrid, precompute_operators(mesh, basis, mms, lgrid.iota, lgrid))
     assert run.surface.as_matrix().tobytes() == init.as_matrix().tobytes()
     assert run.messages_sent == 0
 
@@ -129,14 +128,13 @@ def synthetic_engine(P, M, N, stage_cost=0.0, fail_at=None, exit_at=None, slices
     # fail_at raises in slice (p, n, m); exit_at ends the worker process there;
     # slices, an array shared with the workers, counts each worker's slices
     plan = partition(M, P)
+    starts = [block.start for block in plan.blocks]
 
-    def setup(p):
-        return p
-
-    def init_block(p, block):
+    def init_block(block):
         return np.array([[float(m)] for m in block])
 
-    def advance(p, n, left, prev, m0, out):
+    def advance(n, left, prev, m0, out):
+        p = starts.index(m0)  # each worker advances the block it owns
         # row by row, so the cost and a fault belong to one slice (p, n, m)
         for i, m in enumerate(range(m0, m0 + len(prev))):
             if slices is not None:
@@ -154,12 +152,13 @@ def synthetic_engine(P, M, N, stage_cost=0.0, fail_at=None, exit_at=None, slices
                 time.sleep(stage_cost)
             out[i] = (prev[i - 1] if i > 0 else left) + prev[i]  # depends on both inputs
 
-    return _Engine(plan, N, setup, init_block, advance)
+    return _Engine(plan, N, init_block, advance)
 
 
 def test_synthetic_engine_matches_serial_recurrence():
     P, M, N = 3, 8, 5
-    values, stats = synthetic_engine(P, M, N).execute()
+    stats = synthetic_engine(P, M, N).execute()
+    values = stats.surface.as_matrix()
 
     serial = {m: float(m) for m in range(M + 1)}
     for n in range(1, N + 1):
@@ -232,10 +231,10 @@ def test_unpicklable_worker_error_arrives_as_its_repr():
         def __init__(self, a, b):
             super().__init__(f"{a}/{b}")
 
-    def advance(p, n, left, prev, m0, out):
+    def advance(n, left, prev, m0, out):
         raise Unpicklable(1, 2)
 
-    engine = _Engine(partition(4, 2), 2, lambda p: p, lambda p, b: np.zeros((len(b), 1)), advance)
+    engine = _Engine(partition(4, 2), 2, lambda b: np.zeros((len(b), 1)), advance)
     with pytest.raises(PipelineError) as err:
         engine.execute()
     assert (err.value.worker, err.value.step) == (0, 1)
@@ -297,12 +296,13 @@ def test_pipeline_fill_in_overlaps_workers():
     # beat the summed busy time by a clear margin
     P, M, N = 2, 9, 6
     cost = 0.003
-    _, stats = synthetic_engine(P, M, N, stage_cost=cost).execute()
+    stats = synthetic_engine(P, M, N, stage_cost=cost).execute()
     total_busy = sum(stats.worker_busy_seconds)
     assert stats.wall_seconds < 0.75 * total_busy
     # steady state: a worker's step n runs while its neighbour is on step n
     spans = stats.step_spans
-    for n in range(P - 1, N):
+    assert [len(s) for s in spans] == [N + 1] * P  # level 0 and every step
+    for n in range(P, N + 1):
         s0, e0 = spans[0][n]
         s1, e1 = spans[1][n]
         assert s1 < e0 + cost

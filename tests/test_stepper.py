@@ -68,6 +68,12 @@ def small_setup(h=0.25, M=4, N=4, order=1):
     return mesh, reference_basis(order), LGrid(0.0, 1.0, M), TimeGrid(1.0, N)
 
 
+def projection_ops(mesh, basis, spec, lgrid, solver_config=None):
+    """Operators whose projector makes the level-0 and inflow slices; the
+    projections do not depend on the step size, here tau = iota."""
+    return precompute_operators(mesh, basis, spec, lgrid.iota, lgrid, solver_config)
+
+
 # ---------------------------------------------------------------------------
 # ProblemSpec
 
@@ -132,7 +138,8 @@ def test_factor_solve_matches_dense_oracle(mms):
 
 def test_initialize_zero_data():
     mesh, basis, lgrid, _ = small_setup()
-    surface = initialize(mesh, basis, make_spec(), lgrid)
+    spec = make_spec()
+    surface = initialize(mesh, basis, spec, lgrid, projection_ops(mesh, basis, spec, lgrid))
     assert surface.n == 0
     assert len(surface.slices) == lgrid.M + 1
     assert np.abs(surface.as_matrix()).max() == 0.0
@@ -144,7 +151,7 @@ def test_initialize_separable_data_scales_projection():
         z_init=lambda l, x, y: np.sin(np.pi * l) * sines(x, y),
         z_init_grad=lambda l, x, y: tuple(np.sin(np.pi * l) * g for g in sines_grad(x, y)),
     )
-    surface = initialize(mesh, basis, spec, lgrid)
+    surface = initialize(mesh, basis, spec, lgrid, projection_ops(mesh, basis, spec, lgrid))
     base = surface.slices[2].values  # l = 0.5, factor sin(pi/2) = 1
     for m in (1, 3):
         factor = np.sin(np.pi * lgrid.nodes[m])
@@ -154,7 +161,7 @@ def test_initialize_separable_data_scales_projection():
 def test_initialize_mms_matches_dense_oracle(mms):
     mesh = build_structured_mesh(UNIT_SQUARE, 0.125, 1)
     lgrid = LGrid(0.0, 1.0, 2)  # node 1 sits at l = 1/2
-    surface = initialize(mesh, P1, mms, lgrid)
+    surface = initialize(mesh, P1, mms, lgrid, projection_ops(mesh, P1, mms, lgrid))
     got = surface.slices[1].values
 
     rule = quadrature_rule(2 * P1.order + 2)
@@ -169,7 +176,7 @@ def test_initialize_rejects_incompatible_data():
     spec = make_spec(z_bdry=lambda t, x, y: sines(x, y), z_bdry_grad=lambda t, x, y: sines_grad(x, y))
     mesh, basis, lgrid, _ = small_setup()
     with pytest.raises(ValueError, match="disagree"):
-        initialize(mesh, basis, spec, lgrid)
+        initialize(mesh, basis, spec, lgrid, projection_ops(mesh, basis, spec, lgrid))
 
 
 def test_initialize_rejects_nan_inflow_at_t0():
@@ -180,13 +187,14 @@ def test_initialize_rejects_nan_inflow_at_t0():
     spec = make_spec(z_bdry=z_bdry)
     mesh, basis, lgrid, _ = small_setup()
     with pytest.raises(ValueError, match="disagree"):
-        initialize(mesh, basis, spec, lgrid)
+        initialize(mesh, basis, spec, lgrid, projection_ops(mesh, basis, spec, lgrid))
 
 
 def test_boundary_slice_zero_for_mms(mms):
     mesh, basis, lgrid, tgrid = small_setup()
+    ops = projection_ops(mesh, basis, mms, lgrid)
     for n in (0, 2, 4):
-        s = boundary_slice(n, tgrid, mesh, basis, mms)
+        s = boundary_slice(n, tgrid, mesh, basis, mms, ops)
         assert np.abs(s.values).max() == 0.0
 
 
@@ -198,9 +206,10 @@ def test_boundary_slice_exponential_scaling():
         z_bdry=lambda t, x, y: np.exp(-t) * sines(x, y),
         z_bdry_grad=lambda t, x, y: tuple(np.exp(-t) * g for g in sines_grad(x, y)),
     )
-    s0 = boundary_slice(0, tgrid, mesh, basis, spec)
+    ops = projection_ops(mesh, basis, spec, lgrid)
+    s0 = boundary_slice(0, tgrid, mesh, basis, spec, ops)
     for n in (1, 3):
-        sn = boundary_slice(n, tgrid, mesh, basis, spec)
+        sn = boundary_slice(n, tgrid, mesh, basis, spec, ops)
         np.testing.assert_allclose(
             sn.values, np.exp(-n * tgrid.tau) * s0.values, rtol=1e-12, atol=1e-15
         )
@@ -214,9 +223,30 @@ def test_boundary_slice_at_zero_matches_initialize():
         z_bdry=lambda t, x, y: sines(x, y),
         z_bdry_grad=lambda t, x, y: sines_grad(x, y),
     )
-    surface = initialize(mesh, basis, spec, lgrid)
-    s0 = boundary_slice(0, tgrid, mesh, basis, spec)
+    ops = projection_ops(mesh, basis, spec, lgrid)
+    surface = initialize(mesh, basis, spec, lgrid, ops)
+    s0 = boundary_slice(0, tgrid, mesh, basis, spec, ops)
     np.testing.assert_array_equal(s0.values, surface.slices[0].values)
+
+
+def test_projections_use_the_solver_of_their_operators():
+    # under GMRES the level-0 surface and the inflow slice get the bytes the
+    # GMRES sequential run gives at N = 0, not the direct solver's
+    mesh, basis, lgrid, tgrid = small_setup(h=0.125, M=8, N=8)
+    spec = make_spec(
+        z_init=lambda l, x, y: (1.0 + l) * sines(x, y),
+        z_init_grad=lambda l, x, y: tuple((1.0 + l) * g for g in sines_grad(x, y)),
+        z_bdry=lambda t, x, y: sines(x, y),
+        z_bdry_grad=lambda t, x, y: sines_grad(x, y),
+    )
+    config = SolverConfig(mode="iterative")
+    ops = projection_ops(mesh, basis, spec, lgrid, config)
+    seq = run_sequential(spec, mesh, basis, lgrid, TimeGrid(1.0, 0), config).as_matrix()
+    surface = initialize(mesh, basis, spec, lgrid, ops).as_matrix()
+    assert surface.tobytes() == seq.tobytes()
+    assert boundary_slice(0, tgrid, mesh, basis, spec, ops).values.tobytes() == seq[0].tobytes()
+    direct = initialize(mesh, basis, spec, lgrid, projection_ops(mesh, basis, spec, lgrid))
+    assert direct.as_matrix().tobytes() != seq.tobytes()  # the two solvers differ here
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +340,7 @@ def test_advance_block_across_chunks_matches_per_slice_oracle_bitwise(mms, order
     prev = np.random.default_rng(10 + order).normal(size=(M + 1, mesh.num_nodes))
     for problem in (mms, with_plain_source(mms)):
         ops = precompute_operators(mesh, reference_basis(order), problem, 0.5 / M, lgrid)
-        rows = ops._workspace().rows
+        rows = ops._work.rows
         assert M > rows and M % rows != 0
         expected = per_slice_level(ops, n, prev)
         for m0 in (1, 3):
@@ -421,7 +451,7 @@ def test_run_sequential_solves_once_per_slice(mms):
     # M = 13 rows fit one chunk: per level one full panel and one partial panel
     mesh, basis, lgrid, tgrid = small_setup(M=13, N=13)
     ops = precompute_operators(mesh, basis, mms, tgrid.tau, lgrid)
-    assert ops._workspace().rows > lgrid.M
+    assert ops._work.rows > lgrid.M
     solve, blocks = ops.solve_system, []
 
     def counting(rhs):
@@ -581,7 +611,7 @@ def test_run_sequential_n_zero_returns_initialization(mms):
     mesh, basis, lgrid, _ = small_setup(M=3)
     tgrid = TimeGrid(1.0, 0)
     out = run_sequential(mms, mesh, basis, lgrid, tgrid)
-    init = initialize(mesh, basis, mms, lgrid)
+    init = initialize(mesh, basis, mms, lgrid, projection_ops(mesh, basis, mms, lgrid))
     assert out.as_matrix().tobytes() == init.as_matrix().tobytes()
 
 
@@ -649,7 +679,7 @@ def test_boundary_dofs_exactly_zero_and_slice_zero_is_inflow(mms):
     surface = run_sequential(mms, mesh, basis, lgrid, tgrid)
     for s in surface.slices:
         assert np.abs(s.values[mesh.boundary_mask]).max() == 0.0
-    ref = boundary_slice(tgrid.N, tgrid, mesh, basis, mms)
+    ref = boundary_slice(tgrid.N, tgrid, mesh, basis, mms, projection_ops(mesh, basis, mms, lgrid))
     np.testing.assert_array_equal(surface.slices[0].values, ref.values)
 
 
