@@ -25,7 +25,6 @@ from .fem import (
     assemble_convection,
     assemble_mass,
     assemble_stiffness,
-    dump_matrix,
 )
 from .harness import (
     ConvergenceRow,

@@ -66,7 +66,7 @@ class LGrid:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid with N steps on (0, T]; N = 0 degenerates to no stepping."""
+    """Uniform time grid with N >= 1 steps on (0, T]."""
 
     T: float
     N: int
@@ -74,12 +74,12 @@ class TimeGrid:
     def __post_init__(self):
         if self.T <= 0.0:
             raise ValueError(f"final time must be positive, got {self.T}")
-        if self.N < 0:
-            raise ValueError(f"step count must be >= 0, got {self.N}")
+        if self.N < 1:
+            raise ValueError(f"step count must be >= 1, got {self.N}")
 
     @property
     def tau(self) -> float:
-        return self.T / self.N if self.N > 0 else 0.0
+        return self.T / self.N
 
 
 @dataclass(frozen=True)

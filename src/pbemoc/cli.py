@@ -31,8 +31,6 @@ from .harness import (
     mms_problem,
     run_single,
     scaling_study,
-    write_convergence_csv,
-    write_scaling_csv,
 )
 from .pipeline import PipelineError
 
@@ -68,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupling", choices=["h2", "h3", "equal"], help="rule for (tau, iota) from h")
     p.add_argument("--workers", type=_int_list, help="worker count, or comma list for scaling")
     p.add_argument("--T", type=float, help="final time of single and convergence runs (default 1)")
-    p.add_argument("--out", help="output CSV path")
+    p.add_argument("--out", help="file for the printed table (single runs: snapshot directory)")
     p.add_argument("--config", help="key = value file supplying defaults for any flag")
     p.add_argument("--snapshots", type=_int_list, help="time-step indices to export (sequential runs)")
     p.add_argument("--mode", choices=["strong", "weak"], default="strong", help="scaling mode")
@@ -131,9 +129,18 @@ def cli_main(argv=None) -> int:
 def _solver_from(args) -> SolverConfig | None:
     if args.solver is None and args.solver_tol is None:
         return None
-    mode = args.solver or "iterative"
-    tol = args.solver_tol if args.solver_tol is not None else 1e-10
-    return SolverConfig(mode=mode, tol=tol)
+    tol = {} if args.solver_tol is None else {"tol": args.solver_tol}
+    return SolverConfig(mode=args.solver or "iterative", **tol)
+
+
+def _emit(text: str, out: str | None) -> int:
+    """Print a study table and, with --out, write the same text to that file."""
+    print(text, end="")
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+        print(f"wrote {out}")
+    return EXIT_OK
 
 
 def _dispatch(args) -> int:
@@ -146,6 +153,9 @@ def _dispatch(args) -> int:
     if study == "single":
         if args.h is None or args.tau is None or args.iota is None:
             raise ValueError("single study requires --h, --tau and --iota")
+        if args.workers and len(args.workers) > 1:
+            counts = ",".join(map(str, args.workers))
+            raise ValueError(f"--workers={counts}: only scaling studies take several counts")
         workers = args.workers[0] if args.workers else None
         snapshots = args.snapshots or ()
         snapshot_dir = (args.out or ".") if snapshots else None
@@ -182,17 +192,12 @@ def _dispatch(args) -> int:
             solver=solver,
         )
         rows = characteristics_study(config) if study == "characteristics" else convergence_study(config)
-        text = format_convergence_rows(rows)
-        print(text, end="")
-        if args.out:
-            write_convergence_csv(rows, args.out)
-            print(f"wrote {args.out}")
-        return EXIT_OK
+        return _emit(format_convergence_rows(rows), args.out)
 
     # scaling
     config = StudyConfig(
         element_order=order,
-        workers=args.workers or (1, 2),
+        workers=args.workers or (),
         h=args.h,
         iota=args.iota,
         scaling_mode=args.mode,
@@ -200,13 +205,7 @@ def _dispatch(args) -> int:
         n_steps=args.steps,
         solver=solver,
     )
-    rows = scaling_study(config)
-    text = format_scaling_rows(rows)
-    print(text, end="")
-    if args.out:
-        write_scaling_csv(rows, args.out)
-        print(f"wrote {args.out}")
-    return EXIT_OK
+    return _emit(format_scaling_rows(scaling_study(config)), args.out)
 
 
 def main() -> None:

@@ -34,7 +34,6 @@ __all__ = [
     "GradientLoadAssembler",
     "RitzProjector",
     "ErrorEvaluator",
-    "dump_matrix",
 ]
 
 # boundary-trace tolerance for data fed into the zero-boundary projection
@@ -45,6 +44,9 @@ TRACE_TOL = 1e-12
 # path than the remainder), but not on what the other columns hold or where
 # the column sits, so one fixed width makes the bytes independent of batching.
 PANEL = 8
+
+# cap on the total inner GMRES iterations of one solve
+GMRES_MAXITER = 5000
 
 
 @dataclass(eq=False)
@@ -88,15 +90,12 @@ class SolverConfig:
 
     mode: str = "direct"
     tol: float = 1e-10
-    maxiter: int = 5000
 
     def __post_init__(self):
         if self.mode not in ("direct", "iterative"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
         if not (0.0 < self.tol < 1.0):
             raise ValueError(f"tolerance must lie in (0, 1), got {self.tol}")
-        if self.maxiter < 1:
-            raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,43 +243,18 @@ class GradientLoadAssembler:
         return self._mx @ gx + self._my @ gy
 
 
-def apply_dirichlet(
-    matrix: sp.spmatrix,
-    rhs: np.ndarray,
-    boundary_mask: np.ndarray,
-    boundary_values: float | np.ndarray = 0.0,
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Impose Dirichlet values by symmetric elimination.
+def apply_dirichlet(matrix: sp.spmatrix, boundary_mask: np.ndarray) -> sp.csr_matrix:
+    """Eliminate the boundary DOFs of a system with zero Dirichlet values.
 
-    Boundary rows and columns are replaced by identity rows; the column
-    coupling is moved to the right-hand side, so a symmetric matrix stays
-    symmetric and SPD blocks keep their conditioning.
+    Boundary rows and columns are replaced by identity rows, so a symmetric
+    matrix stays symmetric and SPD blocks keep their conditioning; the
+    right-hand side of the eliminated system is zero at the boundary DOFs.
     """
     mask = np.asarray(boundary_mask, dtype=bool)
-    n = mask.shape[0]
-    lifted = np.zeros(n)
-    vals = np.asarray(boundary_values, dtype=float)
-    if vals.ndim == 0:
-        lifted[mask] = float(vals)
-    elif vals.shape == (int(mask.sum()),):
-        lifted[mask] = vals
-    elif vals.shape == (n,):
-        lifted[mask] = vals[mask]
-    else:
-        raise ValueError(
-            f"boundary values of shape {vals.shape} do not match "
-            f"{int(mask.sum())} boundary DOFs (or all {n} DOFs)"
-        )
-
-    interior = (~mask).astype(float)
-    d_int = sp.diags(interior)
+    d_int = sp.diags((~mask).astype(float))
     eliminated = (d_int @ matrix @ d_int + sp.diags(mask.astype(float))).tocsr()
     eliminated.sum_duplicates()
-
-    new_rhs = np.asarray(rhs, dtype=float) - matrix @ lifted
-    new_rhs *= interior
-    new_rhs[mask] = lifted[mask]
-    return eliminated, new_rhs
+    return eliminated
 
 
 def _residual(matrix, rhs, x) -> float:
@@ -333,10 +307,10 @@ class _IterativeSolver:
         self._config = config
         try:
             ilu = spla.spilu(sp.csc_matrix(matrix), drop_tol=1e-6, fill_factor=20)
-            n = matrix.shape[0]
-            self._precond = spla.LinearOperator((n, n), ilu.solve)
-        except RuntimeError:
-            self._precond = None
+        except RuntimeError as exc:  # singular factorization
+            raise SolveFailure(f"incomplete factorization failed: {exc}") from exc
+        n = matrix.shape[0]
+        self._precond = spla.LinearOperator((n, n), ilu.solve)
 
     def solve_rows(self, block: np.ndarray) -> np.ndarray:
         """Solve each row of a (k, n) block on its own."""
@@ -348,9 +322,9 @@ class _IterativeSolver:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         cfg = self._config
         n = self._matrix.shape[0]
-        # maxiter caps total inner iterations; scipy counts restart cycles
-        restart = min(n, 200, cfg.maxiter)
-        cycles = max(1, -(-cfg.maxiter // restart))
+        # GMRES_MAXITER caps total inner iterations; scipy counts restart cycles
+        restart = min(n, 200, GMRES_MAXITER)
+        cycles = max(1, -(-GMRES_MAXITER // restart))
         x, info = spla.gmres(
             self._matrix,
             rhs,
@@ -392,7 +366,7 @@ class RitzProjector:
 
     def __init__(self, mesh: SpatialMesh, basis: BasisSet, solver_config: SolverConfig | None = None):
         a0 = assemble_stiffness(mesh, basis, 1.0)
-        self.matrix, _ = apply_dirichlet(a0, np.zeros(mesh.num_nodes), mesh.boundary_mask)
+        self.matrix = apply_dirichlet(a0, mesh.boundary_mask)
         self._solver = make_solver(self.matrix, solver_config)
         self._grad_asm = GradientLoadAssembler(mesh, basis)
         self._bx = mesh.nodes[mesh.boundary_mask, 0]
@@ -430,11 +404,3 @@ class ErrorEvaluator:
         )
         return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
 
-
-def dump_matrix(matrix: sp.spmatrix, path) -> None:
-    """Write a matrix in coordinate text form: one `row col value` line per entry."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for k in order:
-            fh.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.16E}\n")

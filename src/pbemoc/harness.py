@@ -1,4 +1,5 @@
-"""Study harness: manufactured problem, convergence and scaling studies, CSV IO.
+"""Study harness: manufactured problem, convergence and scaling studies, and
+the CSV text of their tables.
 
 The built-in benchmark problem has the closed-form solution
 
@@ -10,7 +11,8 @@ inflow and exact fields are written out in closed form from that solution,
 so measured errors are pure discretization errors.  The source is a
 SeparableSource of two spatial fields, so the time steps assemble its loads
 once per run.  Convergence studies sweep the mesh size with a coupling rule
-for the two step sizes; scaling studies sweep the worker count.
+for the two step sizes; scaling studies sweep the worker count.  A step size
+must divide the length it steps over, or the study raises ValueError.
 """
 
 from __future__ import annotations
@@ -38,10 +40,8 @@ __all__ = [
     "convergence_study",
     "characteristics_study",
     "scaling_study",
-    "write_convergence_csv",
-    "read_convergence_csv",
-    "write_scaling_csv",
-    "read_scaling_csv",
+    "format_convergence_rows",
+    "format_scaling_rows",
     "COUPLINGS",
 ]
 
@@ -202,14 +202,22 @@ class ConvergenceRow:
     h1_order: float | None
 
 
-def _grids_for(problem: MMSProblem, h: float, tau: float, iota: float, T: float):
+def _step_count(length: float, step: float, name: str, what: str) -> int:
+    """Number of steps of size step that tile length; ValueError if they do not."""
+    count = int(round(length / step))
+    if count < 1 or abs(count * step - length) > 1e-9 * length:
+        raise ValueError(f"{name}={step} does not divide {what} {length}")
+    return count
+
+
+def _cell_count(problem: MMSProblem, iota: float) -> int:
     span = problem.l_max - problem.l_min
-    M = int(round(span / iota))
-    N = int(round(T / tau))
-    if M < 1 or abs(M * iota - span) > 1e-9 * span:
-        raise ValueError(f"iota={iota} does not divide the internal interval of length {span}")
-    if N < 1 or abs(N * tau - T) > 1e-9 * T:
-        raise ValueError(f"tau={tau} does not divide the final time {T}")
+    return _step_count(span, iota, "iota", "the internal interval of length")
+
+
+def _grids_for(problem: MMSProblem, h: float, tau: float, iota: float, T: float):
+    M = _cell_count(problem, iota)
+    N = _step_count(T, tau, "tau", "the final time")
     return problem.lgrid(M), TimeGrid(T, N)
 
 
@@ -269,10 +277,15 @@ def _precheck_cfl(problem: MMSProblem, levels, coupling: str, T: float) -> None:
 def convergence_study(config: StudyConfig, problem: MMSProblem | None = None) -> list[ConvergenceRow]:
     """Error table over a sweep of mesh sizes with coupled step sizes.
 
-    Order columns are log2 ratios of successive errors (levels halve).
+    Order columns are log2 ratios of successive errors (levels halve).  The
+    study runs with at most one worker count, sequentially without one.
     """
     if not config.levels:
         raise ValueError("convergence study needs at least one mesh level")
+    if len(config.workers) > 1:
+        raise ValueError(
+            f"workers={config.workers}: only scaling studies take several worker counts"
+        )
     problem = problem if problem is not None else mms_problem()
     T = problem.T if config.T is None else config.T
     _precheck_cfl(problem, config.levels, config.coupling, T)
@@ -320,7 +333,6 @@ def scaling_study(config: StudyConfig, problem: MMSProblem | None = None) -> lis
     order = config.element_order
     mesh = build_structured_mesh(problem.domain, h, order)
     basis = reference_basis(order)
-    span = problem.l_max - problem.l_min
 
     rows: list[ScalingRow] = []
     baseline: PipelineRun | None = None
@@ -328,7 +340,7 @@ def scaling_study(config: StudyConfig, problem: MMSProblem | None = None) -> lis
         if config.scaling_mode == "weak":
             M = config.block * P - 1
         elif config.iota is not None:
-            M = int(round(span / config.iota))
+            M = _cell_count(problem, config.iota)
         else:
             M = 128
         lgrid = problem.lgrid(M)
@@ -367,33 +379,6 @@ def format_convergence_rows(rows: Sequence[ConvergenceRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_convergence_csv(rows: Sequence[ConvergenceRow], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_convergence_rows(rows))
-
-
-def read_convergence_csv(path) -> list[ConvergenceRow]:
-    rows = []
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != CONVERGENCE_HEADER:
-        raise ValueError(f"{path}: not a convergence table")
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        rows.append(
-            ConvergenceRow(
-                h=float(parts[0]),
-                tau=float(parts[1]),
-                iota=float(parts[2]),
-                l2_error=float(parts[3]),
-                l2_order=float(parts[4]) if parts[4] else None,
-                h1_error=float(parts[5]),
-                h1_order=float(parts[6]) if parts[6] else None,
-            )
-        )
-    return rows
-
-
 def format_scaling_rows(rows: Sequence[ScalingRow]) -> str:
     lines = []
     if rows:
@@ -411,34 +396,3 @@ def format_scaling_rows(rows: Sequence[ScalingRow]) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-def write_scaling_csv(rows: Sequence[ScalingRow], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_scaling_rows(rows))
-
-
-def read_scaling_csv(path) -> list[ScalingRow]:
-    rows = []
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    over_counts: set[int] = set()
-    for ln in lines:
-        if ln.startswith("# oversubscribed"):
-            tail = ln.rsplit(":", 1)[-1].strip()
-            over_counts = {int(v) for v in tail.split(",") if v}
-    lines = [ln for ln in lines if not ln.startswith("#")]
-    if not lines or lines[0] != SCALING_HEADER:
-        raise ValueError(f"{path}: not a scaling table")
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        rows.append(
-            ScalingRow(
-                workers=int(parts[0]),
-                total_seconds=float(parts[1]),
-                speedup=float(parts[2]),
-                avg_worker_seconds=float(parts[3]),
-                max_worker_seconds=float(parts[4]),
-                oversubscribed=int(parts[0]) in over_counts,
-            )
-        )
-    return rows

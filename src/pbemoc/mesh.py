@@ -309,8 +309,6 @@ def _build_rules():
     third = 1.0 / 3.0
     rules = []
 
-    rules.append(QuadRule(*_symmetric_points([(1.0, (third, third, third))]), exact_degree=1))
-
     rules.append(
         QuadRule(
             *_symmetric_points([(third, (2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0))]),
@@ -329,22 +327,6 @@ def _build_rules():
                 ]
             ),
             exact_degree=4,
-        )
-    )
-
-    s15 = np.sqrt(15.0)
-    bA = (6.0 + s15) / 21.0
-    bB = (6.0 - s15) / 21.0
-    rules.append(
-        QuadRule(
-            *_symmetric_points(
-                [
-                    (9.0 / 40.0, (third, third, third)),
-                    ((155.0 + s15) / 1200.0, (1.0 - 2.0 * bA, bA, bA)),
-                    ((155.0 - s15) / 1200.0, (1.0 - 2.0 * bB, bB, bB)),
-                ]
-            ),
-            exact_degree=5,
         )
     )
 

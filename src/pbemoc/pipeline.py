@@ -373,9 +373,9 @@ def run_pipeline(
     """Advance the surface to t=T with P pipelined worker processes over the internal grid."""
     plan = partition(lgrid.M, P)
     # built once here; the workers inherit them through the fork
-    ops, projector = _prepare(spec, mesh, basis, lgrid, tgrid, solver_config)
+    ops = _prepare(spec, mesh, basis, lgrid, tgrid, solver_config)
     engine = _Engine(
-        plan, tgrid.N, partial(_initial_rows, projector, spec, lgrid), partial(_advance_level, ops)
+        plan, tgrid.N, partial(_initial_rows, ops.projector, spec, lgrid), partial(_advance_level, ops)
     )
     return engine.execute()
 

@@ -178,9 +178,7 @@ class Operators:
         stiffness = assemble_stiffness(mesh, basis, spec.epsilon)
         convection = assemble_convection(mesh, basis, spec.b)
         self.system = (self.mass.multiply(1.0 / tau) + stiffness + convection).tocsr()
-        self.system_bc, _ = apply_dirichlet(
-            self.system, np.zeros(mesh.num_nodes), mesh.boundary_mask
-        )
+        self.system_bc = apply_dirichlet(self.system, mesh.boundary_mask)
         self._solver = make_solver(self.system_bc, solver_config)
         self.projector = RitzProjector(mesh, basis, solver_config=solver_config)
         self.load = LoadAssembler(mesh, basis)
@@ -407,23 +405,14 @@ def _prepare(
     lgrid: LGrid,
     tgrid: TimeGrid,
     solver_config: SolverConfig | None,
-    operators: Operators | None = None,
-) -> tuple[Operators | None, RitzProjector]:
+) -> Operators:
     """Preamble of both drivers: the stability and t=0 compatibility checks,
-    then the operators (operators if given) and the level-0 projector.
-
-    At N = 0 nothing is stepped, so there are no operators and the projector
-    is built on its own, with the same solver configuration.
-    """
+    then the operators, whose projector also builds level 0."""
     cfl = check_cfl(tgrid.tau, lgrid, spec.G)
     if not cfl.passed:
         raise CflViolationError(cfl.describe())
     _check_compatibility(spec, mesh, lgrid)
-    if tgrid.N == 0:
-        return None, RitzProjector(mesh, basis, solver_config)
-    if operators is None:
-        operators = precompute_operators(mesh, basis, spec, tgrid.tau, lgrid, solver_config)
-    return operators, operators.projector
+    return precompute_operators(mesh, basis, spec, tgrid.tau, lgrid, solver_config)
 
 
 def run_sequential(
@@ -435,13 +424,12 @@ def run_sequential(
     solver_config: SolverConfig | None = None,
     snapshot_steps: Sequence[int] = (),
     snapshot_dir=None,
-    operators: Operators | None = None,
 ) -> SolutionSurface:
     """Advance the full surface from t=0 to t=T, one advance_block call per level."""
-    ops, projector = _prepare(spec, mesh, basis, lgrid, tgrid, solver_config, operators)
+    ops = _prepare(spec, mesh, basis, lgrid, tgrid, solver_config)
     snapshots = set(int(s) for s in snapshot_steps)
     # two level arrays, swapped after every step
-    level = _initial_rows(projector, spec, lgrid, range(lgrid.M + 1))
+    level = _initial_rows(ops.projector, spec, lgrid, range(lgrid.M + 1))
     if 0 in snapshots:
         write_snapshot(_level_surface(0, level), _snapshot_path(snapshot_dir, 0))
     spare = np.empty_like(level)

@@ -130,13 +130,10 @@ def dense_grad_load(mesh, rule, g_grad):
     return out
 
 
-def dense_eliminate(matrix, rhs, mask, values=0.0):
-    """Symmetric Dirichlet elimination on dense data."""
+def dense_eliminate(matrix, rhs, mask):
+    """Symmetric elimination of zero Dirichlet values on dense data."""
     mask = np.asarray(mask, dtype=bool)
-    lifted = np.zeros(mask.shape[0])
-    lifted[mask] = values
-    new_rhs = rhs - matrix @ lifted
-    new_rhs[mask] = lifted[mask]
+    new_rhs = np.where(mask, 0.0, rhs)
     out = matrix.copy()
     out[mask, :] = 0.0
     out[:, mask] = 0.0

@@ -40,9 +40,10 @@ def test_lgrid_validation():
 def test_timegrid():
     t = TimeGrid(1.0, 8)
     assert t.tau == 0.125
-    assert TimeGrid(1.0, 0).tau == 0.0
     with pytest.raises(ValueError):
         TimeGrid(0.0, 4)
+    with pytest.raises(ValueError, match="step count"):
+        TimeGrid(1.0, 0)
     with pytest.raises(ValueError):
         TimeGrid(1.0, -1)
 

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from pbemoc.cli import EXIT_CFL, EXIT_CONFIG, EXIT_OK, EXIT_USAGE, _build_parser, _parse, cli_main
-from pbemoc.harness import read_convergence_csv, read_scaling_csv
+
+
+def table_rows(path):
+    """Data rows of a table written with --out, each as its list of fields."""
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return [ln.split(",") for ln in lines[1:]]
 
 
 def test_convergence_study_writes_csv(tmp_path, capsys):
@@ -17,11 +22,13 @@ def test_convergence_study_writes_csv(tmp_path, capsys):
         ]
     )
     assert code == EXIT_OK
-    rows = read_convergence_csv(out)
+    rows = table_rows(out)
     assert len(rows) == 2
-    assert rows[0].h == 0.5 and rows[1].h == 0.25
+    assert float(rows[0][0]) == 0.5 and float(rows[1][0]) == 0.25
     stdout = capsys.readouterr().out
     assert "l2_error" in stdout
+    # the file holds the printed table, byte for byte
+    assert stdout == out.read_text() + f"wrote {out}\n"
 
 
 def test_single_run_with_workers(capsys):
@@ -71,9 +78,9 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
     out = tmp_path / "out.csv"
     code = cli_main(["--config", str(cfg), "--levels", "2", "--out", str(out)])
     assert code == EXIT_OK
-    rows = read_convergence_csv(out)
+    rows = table_rows(out)
     assert len(rows) == 1
-    assert rows[0].h == 0.25  # the explicit flag overrode the file's level 1
+    assert float(rows[0][0]) == 0.25  # the explicit flag overrode the file's level 1
 
 
 @pytest.mark.parametrize(
@@ -180,9 +187,34 @@ def test_scaling_study_csv(tmp_path, capsys):
         ]
     )
     assert code == EXIT_OK
-    rows = read_scaling_csv(out)
-    assert [r.workers for r in rows] == [1, 2]
-    assert rows[0].speedup == pytest.approx(1.0)
+    rows = table_rows(out)
+    assert [int(r[0]) for r in rows] == [1, 2]
+    assert float(rows[0][2]) == pytest.approx(1.0)
+    # the file holds the printed table, byte for byte
+    assert capsys.readouterr().out == out.read_text() + f"wrote {out}\n"
+
+
+def test_scaling_with_a_non_dividing_iota_exits_with_a_configuration_error(capsys):
+    # 0.3 does not divide [0, 1]; the run must not fall back to another spacing
+    code = cli_main(
+        ["--study", "scaling", "--workers", "1", "--h", "0.5", "--iota", "0.3", "--steps", "1"]
+    )
+    assert code == EXIT_CONFIG
+    assert "iota=0.3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--study", "single", "--h", "0.5", "--tau", "0.25", "--iota", "0.25", "--workers", "2,3"],
+        ["--study", "convergence", "--levels", "1,2", "--workers", "1,2"],
+        ["--study", "characteristics", "--levels", "1,2", "--workers", "1,2"],
+    ],
+    ids=["single", "convergence", "characteristics"],
+)
+def test_several_worker_counts_outside_scaling_exit_with_a_configuration_error(capsys, args):
+    assert cli_main(args) == EXIT_CONFIG
+    assert "workers" in capsys.readouterr().err
 
 
 def test_iterative_solver_flag(capsys):

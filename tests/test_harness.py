@@ -17,13 +17,10 @@ from pbemoc.harness import (
     characteristics_study,
     convergence_study,
     format_convergence_rows,
+    format_scaling_rows,
     mms_problem,
-    read_convergence_csv,
-    read_scaling_csv,
     run_single,
     scaling_study,
-    write_convergence_csv,
-    write_scaling_csv,
 )
 
 
@@ -267,53 +264,50 @@ def test_scaling_study_strong_and_weak(mms):
     assert all(r.max_worker_seconds >= r.avg_worker_seconds > 0 for r in weak)
 
 
+def test_scaling_study_rejects_a_non_dividing_iota(mms):
+    # strong scaling tiles [0, 1] with the same rule as the other studies
+    config = StudyConfig(workers=(1,), h=0.5, iota=0.3, n_steps=1)
+    with pytest.raises(ValueError, match="iota=0.3 does not divide"):
+        scaling_study(config)
+
+
+def test_convergence_study_takes_one_worker_count(mms):
+    config = StudyConfig(element_order=1, levels=(0.5,), workers=(1, 2))
+    with pytest.raises(ValueError, match="workers"):
+        convergence_study(config)
+
+
 # ---------------------------------------------------------------------------
-# CSV round trips
+# CSV tables
 
 
-def test_convergence_csv_round_trip(tmp_path, mms):
+def test_convergence_csv_round_trip(mms):
     rows = convergence_study(
         StudyConfig(element_order=1, levels=(0.5, 0.25), coupling="h2")
     )
-    path = tmp_path / "table.csv"
-    write_convergence_csv(rows, path)
-    text = path.read_text()
+    text = format_convergence_rows(rows)
     assert text.splitlines()[0] == "h,tau,iota,l2_error,l2_order,h1_error,h1_order"
-    reread = read_convergence_csv(path)
-    path2 = tmp_path / "table2.csv"
-    write_convergence_csv(reread, path2)
-    assert path2.read_bytes() == path.read_bytes()
 
 
-def test_convergence_csv_formatting(tmp_path):
+def test_convergence_csv_formatting():
     rows = [
         ConvergenceRow(0.25, 0.0625, 0.0625, 4.0481e-2, None, 7.8083e-1, None),
         ConvergenceRow(0.125, 0.015625, 0.015625, 1.0318e-2, 1.9721, 3.9359e-1, 0.9883),
     ]
-    path = tmp_path / "t.csv"
-    write_convergence_csv(rows, path)
-    lines = path.read_text().splitlines()
+    lines = format_convergence_rows(rows).splitlines()
     assert lines[1].split(",")[3] == "4.04810E-02"  # six significant digits
     assert lines[2].split(",")[4] == "1.9721"  # four decimals
     assert lines[1].split(",")[4] == ""  # empty order on the coarsest row
 
 
-def test_scaling_csv_round_trip(tmp_path):
+def test_scaling_csv_round_trip():
     rows = [
         ScalingRow(1, 2.5, 1.0, 2.4, 2.45, False),
         ScalingRow(4, 0.9, 2.78, 0.8, 0.85, True),
     ]
-    path = tmp_path / "s.csv"
-    write_scaling_csv(rows, path)
-    text = path.read_text()
+    text = format_scaling_rows(rows)
     assert "workers,total_seconds,speedup,avg_worker_seconds,max_worker_seconds" in text
     assert text.startswith("#")  # oversubscription annotation
-    reread = read_scaling_csv(path)
-    assert [r.workers for r in reread] == [1, 4]
-    assert reread[1].oversubscribed is True
-    path2 = tmp_path / "s2.csv"
-    write_scaling_csv(reread, path2)
-    assert path2.read_bytes() == path.read_bytes()
 
 
 def test_study_csv_deterministic(tmp_path):

@@ -19,7 +19,7 @@ from pbemoc.pipeline import (
     run_pipeline,
     timing_report,
 )
-from pbemoc.stepper import initialize, precompute_operators, run_sequential
+from pbemoc.stepper import run_sequential
 
 
 # ---------------------------------------------------------------------------
@@ -99,25 +99,6 @@ def test_message_count(mms, P):
     mesh, basis, lgrid, tgrid = pipeline_setup(M=8, N=8)
     run = run_pipeline(mms, mesh, basis, lgrid, tgrid, P)
     assert run.messages_sent == (P - 1) * tgrid.N
-
-
-def test_pipeline_n_zero_matches_initialization(mms):
-    mesh, basis, lgrid, _ = pipeline_setup(M=4)
-    run = run_pipeline(mms, mesh, basis, lgrid, TimeGrid(1.0, 0), 2)
-    # the level-0 projections do not depend on the step size
-    init = initialize(mesh, basis, mms, lgrid, precompute_operators(mesh, basis, mms, lgrid.iota, lgrid))
-    assert run.surface.as_matrix().tobytes() == init.as_matrix().tobytes()
-    assert run.messages_sent == 0
-
-
-def test_pipeline_n_zero_matches_sequential_bytes_under_iterative_solver(mms):
-    # both drivers share one preamble, so both project with the configured solver
-    mesh, basis, lgrid, _ = pipeline_setup(M=4)
-    config = SolverConfig(mode="iterative", tol=1e-12)
-    tgrid = TimeGrid(1.0, 0)
-    seq = run_sequential(mms, mesh, basis, lgrid, tgrid, config)
-    run = run_pipeline(mms, mesh, basis, lgrid, tgrid, 2, config)
-    assert run.surface.as_matrix().tobytes() == seq.as_matrix().tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pbemoc import stepper
 from pbemoc.characteristics import CflViolationError, LGrid, TimeGrid
 from pbemoc.fem import PANEL, FieldSlice, SolveFailure, SolverConfig
 from pbemoc.mesh import UNIT_SQUARE, build_structured_mesh, quadrature_rule, reference_basis
@@ -229,9 +230,18 @@ def test_boundary_slice_at_zero_matches_initialize():
     np.testing.assert_array_equal(s0.values, surface.slices[0].values)
 
 
-def test_projections_use_the_solver_of_their_operators():
-    # under GMRES the level-0 surface and the inflow slice get the bytes the
-    # GMRES sequential run gives at N = 0, not the direct solver's
+def read_level(path, shape):
+    """A level array from a snapshot file; its 17 significant digits round-trip float64."""
+    level = np.full(shape, np.nan)
+    for line in path.read_text().splitlines():
+        m, i, value = line.split()
+        level[int(m), int(i)] = float(value)
+    return level
+
+
+def test_projections_use_the_solver_of_their_operators(tmp_path):
+    # under GMRES the level-0 surface and the inflow slice get the bytes of
+    # the level-0 snapshot of a GMRES sequential run, not the direct solver's
     mesh, basis, lgrid, tgrid = small_setup(h=0.125, M=8, N=8)
     spec = make_spec(
         z_init=lambda l, x, y: (1.0 + l) * sines(x, y),
@@ -241,7 +251,8 @@ def test_projections_use_the_solver_of_their_operators():
     )
     config = SolverConfig(mode="iterative")
     ops = projection_ops(mesh, basis, spec, lgrid, config)
-    seq = run_sequential(spec, mesh, basis, lgrid, TimeGrid(1.0, 0), config).as_matrix()
+    run_sequential(spec, mesh, basis, lgrid, tgrid, config, snapshot_steps=(0,), snapshot_dir=tmp_path)
+    seq = read_level(tmp_path / "surface_n00000.txt", (lgrid.M + 1, mesh.num_nodes))
     surface = initialize(mesh, basis, spec, lgrid, ops).as_matrix()
     assert surface.tobytes() == seq.tobytes()
     assert boundary_slice(0, tgrid, mesh, basis, spec, ops).values.tobytes() == seq[0].tobytes()
@@ -447,7 +458,7 @@ def test_advance_block_empty_block_is_a_no_op(mms):
     advance_block(ops, 1, np.zeros(mesh.num_nodes), out.copy(), lgrid.M + 1, out)
 
 
-def test_run_sequential_solves_once_per_slice(mms):
+def test_run_sequential_solves_once_per_slice(mms, monkeypatch):
     # M = 13 rows fit one chunk: per level one full panel and one partial panel
     mesh, basis, lgrid, tgrid = small_setup(M=13, N=13)
     ops = precompute_operators(mesh, basis, mms, tgrid.tau, lgrid)
@@ -468,12 +479,14 @@ def test_run_sequential_solves_once_per_slice(mms):
 
     ops.solve_system = counting
     ops._solver._lu = lu = RecordingLU(ops._solver._lu)
-    out = run_sequential(mms, mesh, basis, lgrid, tgrid, operators=ops)
+    monkeypatch.setattr(stepper, "precompute_operators", lambda *args: ops)
+    out = run_sequential(mms, mesh, basis, lgrid, tgrid)
     # one block per level, its rows the level's slices, so each slice once
     assert blocks == [(lgrid.M, mesh.num_nodes)] * tgrid.N
     assert sum(rows for rows, _ in blocks) == lgrid.M * tgrid.N
     assert set(lu.shapes) == {(mesh.num_nodes, PANEL)}
     assert len(lu.shapes) == tgrid.N * -(-lgrid.M // PANEL)
+    monkeypatch.undo()
     plain = run_sequential(mms, mesh, basis, lgrid, tgrid)
     assert out.as_matrix().tobytes() == plain.as_matrix().tobytes()
 
@@ -605,14 +618,6 @@ def test_zero_growth_decouples_to_single_slice_run():
     narrow = LGrid(l_m - lgrid.iota, l_m, 1)
     single = run_sequential(spec_with_inflow(l_m - lgrid.iota), mesh, basis, narrow, tgrid)
     assert np.abs(full.slices[m].values - single.slices[1].values).max() <= 1e-13
-
-
-def test_run_sequential_n_zero_returns_initialization(mms):
-    mesh, basis, lgrid, _ = small_setup(M=3)
-    tgrid = TimeGrid(1.0, 0)
-    out = run_sequential(mms, mesh, basis, lgrid, tgrid)
-    init = initialize(mesh, basis, mms, lgrid, projection_ops(mesh, basis, mms, lgrid))
-    assert out.as_matrix().tobytes() == init.as_matrix().tobytes()
 
 
 def test_run_sequential_rejects_cfl_violation(mms):
