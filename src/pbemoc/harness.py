@@ -187,6 +187,9 @@ class StudyConfig:
             raise ValueError(f"mesh levels must be strictly decreasing, got {self.levels}")
         if self.scaling_mode not in ("strong", "weak"):
             raise ValueError(f"unknown scaling mode {self.scaling_mode!r}")
+        for flag, value in (("--steps", self.n_steps), ("--block", self.block)):
+            if value < 1:
+                raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)

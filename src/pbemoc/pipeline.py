@@ -23,10 +23,10 @@ solver.
 
 A failing worker reports its error; a worker that dies without a report is
 seen through its process sentinel, and its step is read from a shared
-array.  The caller then stops the other workers and raises PipelineError for
-the root cause: a worker that only lost the link to a failed neighbour is
-never reported in its place.  The error carries the failing slice's index
-when its cause does.  Forking needs a POSIX platform.
+array.  The caller then stops the workers right of it, waits for those left
+of it, and raises PipelineError for the root cause: the lowest-index worker
+with a failure of its own, whatever the timing, never one that only lost its
+link.  The error carries the failing slice's index when its cause does.  Forking needs a POSIX platform.
 """
 
 from __future__ import annotations
@@ -299,35 +299,47 @@ class _Engine:
         report.send(message)
 
     def _gather(self, procs, readers) -> list:
-        """Every worker's (values, spans, sent); PipelineError at the first failure."""
+        """Every worker's (values, spans, sent); PipelineError for the root cause.
+
+        A failure stops the workers right of it, which can only lose their link,
+        and waits for those left of it, which do not depend on it.
+        """
         reports = [None] * self.plan.P
+        failures = {}
         pending = set(range(self.plan.P))
         while pending:
             waiting = {readers[p]: p for p in pending}
             waiting.update({procs[p].sentinel: p for p in pending})
             for p in sorted({waiting[obj] for obj in wait(list(waiting))}):
+                if p not in pending:  # stopped by a failure on its left
+                    continue
                 pending.discard(p)
                 kind, payload = _read_report(readers[p], procs[p])
-                if kind != "done":
-                    self._fail(procs, readers, pending, {p: payload})
-                reports[p] = payload
+                if kind == "done":
+                    reports[p] = payload
+                else:
+                    failures[p] = payload
+                    right = {q for q in pending if q > p}
+                    _stop(procs, readers, right, failures)
+                    pending -= right
+        if failures:
+            roots = [p for p, exc in failures.items() if not isinstance(exc, _LinkLost)]
+            p = min(roots or failures)
+            raise PipelineError(p, int(self.steps[p]), failures[p]) from failures[p]
         return reports
 
-    def _fail(self, procs, readers, pending, failures):
-        """Stop every pending worker, then raise PipelineError for the root cause."""
-        for p in pending:
-            if procs[p].is_alive():
-                procs[p].terminate()
-        for p in pending:
-            procs[p].join()
-            kind, payload = _read_report(readers[p], procs[p])
-            # a worker this call terminated has no failure of its own
-            if kind == "failed" or (kind == "exited" and procs[p].exitcode != -signal.SIGTERM):
-                failures[p] = payload
-        roots = [p for p, exc in failures.items() if not isinstance(exc, _LinkLost)]
-        p = min(roots or failures)
-        cause = failures[p]
-        raise PipelineError(p, int(self.steps[p]), cause) from cause
+
+def _stop(procs, readers, workers, failures) -> None:
+    """Terminate workers, keeping in failures any failure they reported first."""
+    for p in workers:
+        if procs[p].is_alive():
+            procs[p].terminate()
+    for p in workers:
+        procs[p].join()
+        kind, payload = _read_report(readers[p], procs[p])
+        # a worker this call terminated has no failure of its own
+        if kind == "failed" or (kind == "exited" and procs[p].exitcode != -signal.SIGTERM):
+            failures[p] = payload
 
 
 def _read_report(reader, proc) -> tuple:

@@ -14,15 +14,15 @@ One kernel, advance_block, advances a contiguous block of slices of a level,
 held as a (rows, num_dofs) float64 array.  The sequential loop calls it once
 per level on slices 1..M, each pipeline worker once per level on its own
 block, and step_slice on a block of one slice.  Within a block, slices are
-processed in chunks of whole solver panels: the blend, the mass product and
-the solve are one call each per chunk.  A SeparableSource,
+processed in chunks of one solver panel (fem.PANEL slices): the blend, the
+mass product and the solve are one call each per chunk.  A SeparableSource,
 c(t) sum_j a_j(l) s_j(x, y), has its field loads L_j = integral of s_j phi_i
 assembled and its factors a_j(l_m) tabulated once per run, so a slice's load
 is the sum of the scaled vectors (c(t) a_j(l_m)) L_j; any other source is
 evaluated at the quadrature points and its load assembled once per slice.
-Every system solve has the same fixed width (fem.PANEL right-hand sides, a
-partial panel padded with zeros), so a slice's bytes do not depend on its
-block, chunk or worker.  A level with a non-finite value raises SolveFailure
+Every system solve has a width that is a multiple of fem.GROUP (a partial
+panel is padded with zeros), so a slice's bytes do not depend on its block,
+chunk or worker.  A level with a non-finite value raises SolveFailure
 carrying (n, m).
 """
 
@@ -71,11 +71,6 @@ __all__ = [
 ]
 
 COMPAT_TOL = 1e-10
-
-# advance_block works on chunks of CHUNK_VALUES // (quadrature points) slices,
-# rounded up to whole solver panels; a chunk bounds the rows of the blend,
-# mass-product and right-hand-side buffers, each of num_dofs values
-CHUNK_VALUES = 1 << 16
 
 
 class SeparableSource:
@@ -285,16 +280,11 @@ def boundary_slice(
 
 
 class _Workspace:
-    """Chunk buffers of advance_block, allocated once per Operators."""
+    """Chunk buffers of advance_block, allocated once per Operators: the blend,
+    mass-product and right-hand-side rows of one chunk of PANEL slices."""
 
     def __init__(self, ops: Operators):
-        num_points = ops.load.x.size
-        ndofs = ops.mass.shape[0]
-        # whole panels, so only a block's last chunk can end in a partial one
-        self.rows = PANEL * max(1, -(-(CHUNK_VALUES // num_points) // PANEL))
-        self.blend = np.empty(ndofs * self.rows)
-        self.same = np.empty(ndofs * self.rows)
-        self.rhs = np.empty(ndofs * self.rows)
+        self.blend, self.same, self.rhs = np.empty((3, ops.mass.shape[0] * PANEL))
         self.beta = 1.0 - ops.alphas  # weight of the same-index slice
 
 
@@ -310,21 +300,21 @@ def advance_block(
 
     prev holds the level-(n-1) slices m0..m0+k-1 as a (k, num_dofs) array and
     left_row the level-(n-1) slice m0-1; out has the shape of prev.  Rows are
-    processed in chunks: the blend, the mass product and the solve are one
-    call each per chunk.  A separable source adds (c(t) a_j(l_m)) L_j to row m
-    one field j at a time, elementwise, so a row's load does not depend on the
-    chunk; any other source is evaluated and its load assembled once per
-    slice.  The solver works on panels of a fixed width, so every row gets the
-    bytes the per-slice arithmetic gives, whatever block it falls in.  Raises
-    SolveFailure at the first slice with a non-finite value.
+    processed in chunks of fem.PANEL rows: the blend, the mass product and the
+    solve are one call each per chunk.  A separable source adds
+    (c(t) a_j(l_m)) L_j to row m one field j at a time, elementwise, so a
+    row's load does not depend on the chunk; any other source is evaluated
+    and its load assembled once per slice.  The solver sees only widths that
+    are multiples of fem.GROUP, so every row gets the same bytes in any block.
+    Raises SolveFailure at the first slice with a non-finite value.
     """
     work = ops._work
     spec, load, alphas = ops.spec, ops.load, ops.alphas
     ndofs = prev.shape[1]
     t = n * ops.tau
     inv_tau = 1.0 / ops.tau
-    for c in range(0, prev.shape[0], work.rows):
-        k = min(work.rows, prev.shape[0] - c)
+    for c in range(0, prev.shape[0], PANEL):
+        k = min(PANEL, prev.shape[0] - c)
         m = m0 + c
         # characteristic blend; column i holds slice m+i
         z = work.blend[: ndofs * k].reshape(ndofs, k)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from pbemoc import fem
 from pbemoc.fem import (
@@ -234,6 +235,59 @@ def test_direct_solver_deterministic_bytes():
     rhs = LoadAssembler(mesh, P1).assemble(lambda x, y: np.sin(x) + y)
     Ae, re = eliminate(A, rhs, mesh)
     assert make_solver(Ae).solve(re).tobytes() == make_solver(Ae).solve(re).tobytes()
+
+
+def lu_nnz(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+def test_direct_solver_keeps_the_default_factor_on_a_convection_dominated_system():
+    # P2 h=1/16, eps=1e-3, b=(100, 60), tau=1: diagonal pivots after the
+    # symmetric ordering would fill 56k -> 412k entries and lose two digits of
+    # residual, so a pivot off the diagonal sends the factor back to the default
+    mesh = build_structured_mesh(UNIT_SQUARE, 1.0 / 16, 2)
+    basis = reference_basis(2)
+    system = (
+        assemble_mass(mesh, basis)
+        + assemble_stiffness(mesh, basis, 1e-3)
+        + assemble_convection(mesh, basis, (100.0, 60.0))
+    )
+    A = apply_dirichlet(system, mesh.boundary_mask)
+    solver = make_solver(A)
+    assert lu_nnz(solver._lu) == lu_nnz(spla.splu(sp.csc_matrix(A))) == 56019
+    rows = np.random.default_rng(5).normal(size=(37, mesh.num_nodes))
+    rows[:, mesh.boundary_mask] = 0.0
+    x = solver.solve_rows(rows)
+    residual = np.linalg.norm(rows - (A @ x.T).T, axis=1) / np.linalg.norm(rows, axis=1)
+    assert residual.max() <= 1e-12
+    # this factor gives a column other bytes in calls whose width is not a
+    # multiple of four, so a row alone must still get its bytes from the block
+    for i, row in enumerate(rows):
+        assert solver.solve_rows(row[None, :])[0].tobytes() == x[i].tobytes(), i
+
+
+def test_direct_solver_orders_the_benchmark_system_for_fill(mms):
+    # the P2 h=1/8, tau=2^-9 system of the many-slices benchmark: every pivot
+    # stays on the diagonal, and the factor has fewer entries than the default
+    mesh = build_structured_mesh(mms.domain, 1.0 / 8, 2)
+    basis = reference_basis(2)
+    system = (
+        assemble_mass(mesh, basis).multiply(512.0)
+        + assemble_stiffness(mesh, basis, mms.epsilon)
+        + assemble_convection(mesh, basis, mms.b)
+    )
+    A = apply_dirichlet(system, mesh.boundary_mask)
+    lu = make_solver(A)._lu
+    np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+    assert lu_nnz(lu) == 5286 < lu_nnz(spla.splu(sp.csc_matrix(A))) == 6278
+
+
+def test_direct_solver_factors_a_matrix_with_a_zero_diagonal():
+    A = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 1.0]])
+    solver = make_solver(sp.csr_matrix(A))
+    rhs = np.array([1.0, 2.0, 3.0])
+    np.testing.assert_allclose(A @ solver.solve(rhs), rhs, atol=1e-14)
+    np.testing.assert_allclose(A @ solver.solve_rows(np.eye(3)).T, np.eye(3), atol=1e-14)
 
 
 def test_iterative_solver_meets_tolerance():

@@ -223,6 +223,22 @@ def test_unpicklable_worker_error_arrives_as_its_repr():
     assert multiprocessing.active_children() == []
 
 
+def test_root_cause_is_the_lowest_failing_worker_whatever_the_timing():
+    # worker 1 fails at once, worker 0 only after 50 ms: worker 1 reports
+    # first, but it does not stop worker 0, whose own failure is the root
+    def advance(n, left, prev, m0, out):
+        if m0 == 0:
+            time.sleep(0.05)
+        raise ValueError(f"block at m0={m0}")
+
+    engine = _Engine(partition(4, 2), 2, lambda b: np.zeros((len(b), 1)), advance)
+    with pytest.raises(PipelineError) as err:
+        engine.execute()
+    assert (err.value.worker, err.value.step) == (0, 1)
+    assert "block at m0=0" in str(err.value.cause)
+    assert multiprocessing.active_children() == []
+
+
 def linked_workers(engine, width=1):
     """Workers 0 and 1 of engine joined by a real pipe, with message buffers of rows of width."""
     reader, writer = multiprocessing.Pipe(duplex=False)

@@ -5,7 +5,7 @@ import pytest
 
 from pbemoc import stepper
 from pbemoc.characteristics import CflViolationError, LGrid, TimeGrid
-from pbemoc.fem import PANEL, FieldSlice, SolveFailure, SolverConfig
+from pbemoc.fem import GROUP, PANEL, FieldSlice, SolveFailure, SolverConfig
 from pbemoc.mesh import UNIT_SQUARE, build_structured_mesh, quadrature_rule, reference_basis
 from pbemoc.pipeline import PipelineError, run_pipeline
 from pbemoc.stepper import (
@@ -351,8 +351,7 @@ def test_advance_block_across_chunks_matches_per_slice_oracle_bitwise(mms, order
     prev = np.random.default_rng(10 + order).normal(size=(M + 1, mesh.num_nodes))
     for problem in (mms, with_plain_source(mms)):
         ops = precompute_operators(mesh, reference_basis(order), problem, 0.5 / M, lgrid)
-        rows = ops._work.rows
-        assert M > rows and M % rows != 0
+        assert M > PANEL and M % PANEL != 0
         expected = per_slice_level(ops, n, prev)
         for m0 in (1, 3):
             out = np.empty((M - m0 + 1, mesh.num_nodes))
@@ -459,10 +458,10 @@ def test_advance_block_empty_block_is_a_no_op(mms):
 
 
 def test_run_sequential_solves_once_per_slice(mms, monkeypatch):
-    # M = 13 rows fit one chunk: per level one full panel and one partial panel
-    mesh, basis, lgrid, tgrid = small_setup(M=13, N=13)
+    # M = 37 rows make two chunks per level: a full panel and a partial one
+    mesh, basis, lgrid, tgrid = small_setup(M=37, N=37)
     ops = precompute_operators(mesh, basis, mms, tgrid.tau, lgrid)
-    assert ops._work.rows > lgrid.M
+    assert PANEL < lgrid.M < 2 * PANEL
     solve, blocks = ops.solve_system, []
 
     def counting(rhs):
@@ -481,11 +480,12 @@ def test_run_sequential_solves_once_per_slice(mms, monkeypatch):
     ops._solver._lu = lu = RecordingLU(ops._solver._lu)
     monkeypatch.setattr(stepper, "precompute_operators", lambda *args: ops)
     out = run_sequential(mms, mesh, basis, lgrid, tgrid)
-    # one block per level, its rows the level's slices, so each slice once
-    assert blocks == [(lgrid.M, mesh.num_nodes)] * tgrid.N
+    # one block per chunk, the chunks' rows the level's slices, so each slice once
+    assert blocks == [(PANEL, mesh.num_nodes), (lgrid.M - PANEL, mesh.num_nodes)] * tgrid.N
     assert sum(rows for rows, _ in blocks) == lgrid.M * tgrid.N
-    assert set(lu.shapes) == {(mesh.num_nodes, PANEL)}
-    assert len(lu.shapes) == tgrid.N * -(-lgrid.M // PANEL)
+    # one SuperLU call per chunk, a multiple of GROUP wide and at most PANEL
+    assert len(lu.shapes) == len(blocks) == tgrid.N * -(-lgrid.M // PANEL)
+    assert all(n == mesh.num_nodes and w % GROUP == 0 and w <= PANEL for n, w in lu.shapes)
     monkeypatch.undo()
     plain = run_sequential(mms, mesh, basis, lgrid, tgrid)
     assert out.as_matrix().tobytes() == plain.as_matrix().tobytes()
@@ -493,16 +493,18 @@ def test_run_sequential_solves_once_per_slice(mms, monkeypatch):
 
 def test_panel_solve_bytes_do_not_depend_on_block_layout(mms):
     # on the P1 h=1/32 system a column's bytes depend on the SuperLU call's
-    # width, so only a fixed panel width keeps a row's bytes block-independent
+    # width, so only widths that are multiples of GROUP keep a row's bytes
+    # block-independent; blocks up to 70 rows span three panels and end in
+    # every residue mod GROUP
     mesh = build_structured_mesh(mms.domain, 1.0 / 32, 1)
     lgrid = mms.lgrid(64)
     ops = precompute_operators(mesh, P1, mms, lgrid.iota, lgrid)
     rng = np.random.default_rng(17)
-    rows = rng.normal(size=(17, mesh.num_nodes))
+    rows = rng.normal(size=(70, mesh.num_nodes))
     rows[:, ops.boundary_idx] = 0.0
     single = [ops.solve_system(row) for row in rows]
-    for k in range(1, 18):
-        pick = rng.choice(17, size=k, replace=False)
+    for k in range(1, 71):
+        pick = rng.choice(70, size=k, replace=False)
         block = ops.solve_system(rows[pick])
         assert block.shape == (k, mesh.num_nodes)
         for i, j in enumerate(pick):
