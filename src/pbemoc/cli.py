@@ -47,6 +47,12 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
+def _count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def _mesh_levels(text: str) -> tuple[float, ...]:
     """Exponents k1,k2,... as the mesh sizes 2^-k."""
     return tuple(2.0 ** -int(k) for k in text.split(","))
@@ -70,8 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value file supplying defaults for any flag")
     p.add_argument("--snapshots", type=_int_list, help="time-step indices to export (sequential runs)")
     p.add_argument("--mode", choices=["strong", "weak"], default="strong", help="scaling mode")
-    p.add_argument("--block", type=int, default=8, help="per-worker block for weak scaling (default 8)")
-    p.add_argument("--steps", type=int, default=32, help="time steps of scaling runs (default 32)")
+    p.add_argument("--block", type=_count, default=8, help="per-worker block for weak scaling (default 8)")
+    p.add_argument("--steps", type=_count, default=32, help="time steps of scaling runs (default 32)")
     p.add_argument("--solver", choices=["direct", "iterative"], help="linear solver (default direct)")
     p.add_argument("--solver-tol", type=float, help="iterative solver tolerance (default 1e-10)")
     return p

@@ -5,9 +5,9 @@ Operators are assembled element-wise with quadrature that is exact for the
 polynomial integrands (degree 2k for the bilinear forms) and one order above
 the generic data terms (degree 2k+2 for loads, projections, and norms).
 Matrices are CSR; the direct solver is a sparse LU factorization, which makes
-every solve deterministic and byte-reproducible.  Its block solve hands
-SuperLU at most PANEL right-hand sides per call, always a multiple of GROUP,
-so a row gets the same bytes in any block, a block of one included.
+every solve deterministic and byte-reproducible.  Its block solve hands the
+factorization exactly PANEL right-hand sides per call, so a row gets the same
+bytes in any position of any block, a block of one included.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ __all__ = [
 # boundary-trace tolerance for data fed into the zero-boundary projection
 TRACE_TOL = 1e-12
 
-# right-hand sides per SuperLU call: at most PANEL, a multiple of GROUP.  A
-# column's bytes depend on the call's width only through whether it is a
-# multiple of four (a remainder takes another BLAS path), not on the other
-# columns or the column's position, so these widths make them batch-independent.
-PANEL, GROUP = 32, 4
+# right-hand sides per SuperLU call.  A column's bytes can depend on how many
+# columns share the call (the BLAS may treat a full group of columns and the
+# remainder differently), but not on what the other columns hold or where the
+# column sits, so one fixed width makes the bytes independent of batching.
+PANEL = 32
 
 # cap on the total inner GMRES iterations of one solve
 GMRES_MAXITER = 5000
@@ -267,8 +267,7 @@ class _DirectSolver:
     def __init__(self, matrix):
         matrix = sp.csc_matrix(matrix)
         try:
-            # fill-reducing ordering of A^T + A with diagonal pivots; a pivot off
-            # the diagonal (far from diagonal dominance) fills badly, so refactor
+            # fill-reducing ordering of A^T + A on diagonal pivots; a pivot off them fills badly
             self._lu = spla.splu(
                 matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True}
             )
@@ -281,21 +280,22 @@ class _DirectSolver:
         return self._lu.solve(np.asarray(rhs, dtype=float))
 
     def solve_rows(self, block: np.ndarray) -> np.ndarray:
-        """Solve each row of a (k, n) block, at most PANEL rows per SuperLU call.
+        """Solve each row of a (k, n) block, PANEL rows per SuperLU call.
 
-        A last partial panel is padded with zero rows up to a multiple of
-        GROUP, so SuperLU only sees widths that give a row the same bytes.
+        A last partial panel is padded with zero rows, so SuperLU only ever
+        sees PANEL right-hand sides.
         """
         block = np.ascontiguousarray(block, dtype=float)
         out = np.empty_like(block)
-        for i in range(0, block.shape[0], PANEL):
-            rows = block[i : i + PANEL]
-            k = rows.shape[0]
-            if k % GROUP:
-                rows = np.zeros((k + GROUP - k % GROUP, block.shape[1]))
-                rows[:k] = block[i : i + k]
-            # a row panel transposed is an F-ordered (n, width) array, as SuperLU takes it
-            out[i : i + k] = self._lu.solve(rows.T)[:, :k].T
+        full = block.shape[0] - block.shape[0] % PANEL
+        # a row panel transposed is an F-ordered (n, PANEL) array, as SuperLU takes it
+        for i in range(0, full, PANEL):
+            out[i : i + PANEL] = self._lu.solve(block[i : i + PANEL].T).T
+        rest = block.shape[0] - full
+        if rest:  # a pad per partial panel, so no solver keeps one
+            pad = np.zeros((PANEL, block.shape[1]))
+            pad[:rest] = block[full:]
+            out[full:] = self._lu.solve(pad.T)[:, :rest].T
         return out
 
 

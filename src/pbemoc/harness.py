@@ -187,9 +187,8 @@ class StudyConfig:
             raise ValueError(f"mesh levels must be strictly decreasing, got {self.levels}")
         if self.scaling_mode not in ("strong", "weak"):
             raise ValueError(f"unknown scaling mode {self.scaling_mode!r}")
-        for flag, value in (("--steps", self.n_steps), ("--block", self.block)):
-            if value < 1:
-                raise ValueError(f"{flag} must be >= 1, got {value}")
+        if min(self.n_steps, self.block) < 1:
+            raise ValueError(f"n_steps and block must be >= 1, got {self.n_steps} and {self.block}")
 
 
 @dataclass(frozen=True)

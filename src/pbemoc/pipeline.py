@@ -24,9 +24,9 @@ solver.
 A failing worker reports its error; a worker that dies without a report is
 seen through its process sentinel, and its step is read from a shared
 array.  The caller then stops the workers right of it, waits for those left
-of it, and raises PipelineError for the root cause: the lowest-index worker
-with a failure of its own, whatever the timing, never one that only lost its
-link.  The error carries the failing slice's index when its cause does.  Forking needs a POSIX platform.
+of it while their steps move, and raises PipelineError for the root cause:
+the lowest-index worker with a failure of its own.  The error carries the
+failing slice's index when its cause does.  Forking needs a POSIX platform.
 """
 
 from __future__ import annotations
@@ -68,6 +68,9 @@ __all__ = [
 
 # a message is [sender, level, row...] as float64
 HEADER = 2
+
+# after a failure, a worker left of it whose step stays put over an idle wait this long is stopped
+LEFT_WAIT_S = 1.0
 
 
 class PipelineError(RuntimeError):
@@ -263,8 +266,7 @@ class _Engine:
             reports = self._gather(procs, readers)
         finally:
             for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
+                proc.terminate()
             for proc in procs:
                 proc.join()
             for reader in readers:
@@ -302,44 +304,37 @@ class _Engine:
         """Every worker's (values, spans, sent); PipelineError for the root cause.
 
         A failure stops the workers right of it, which can only lose their link,
-        and waits for those left of it, which do not depend on it.
+        and waits for those left of it while their steps move (LEFT_WAIT_S).
         """
         reports = [None] * self.plan.P
-        failures = {}
+        failures, marks = {}, {}  # marks: pending workers' steps at the last idle wait
         pending = set(range(self.plan.P))
         while pending:
             waiting = {readers[p]: p for p in pending}
             waiting.update({procs[p].sentinel: p for p in pending})
-            for p in sorted({waiting[obj] for obj in wait(list(waiting))}):
-                if p not in pending:  # stopped by a failure on its left
-                    continue
-                pending.discard(p)
+            ready = {waiting[obj] for obj in wait(list(waiting), LEFT_WAIT_S if failures else None)}
+            for p in ready:
                 kind, payload = _read_report(readers[p], procs[p])
-                if kind == "done":
-                    reports[p] = payload
-                else:
-                    failures[p] = payload
-                    right = {q for q in pending if q > p}
-                    _stop(procs, readers, right, failures)
-                    pending -= right
+                (reports if kind == "done" else failures)[p] = payload
+            pending -= ready
+            stop = {q for q in pending if failures and q > min(failures)}
+            if not ready:  # an idle LEFT_WAIT_S, which only follows a failure
+                stop |= {q for q in pending if marks.get(q) == self.steps[q]}
+                marks = {q: int(self.steps[q]) for q in pending}
+            for q in stop:
+                procs[q].terminate()  # a no-op on a worker that has exited
+            for q in stop:
+                procs[q].join()
+                kind, payload = _read_report(readers[q], procs[q])
+                # a worker terminated here has no failure of its own
+                if kind == "failed" or (kind == "exited" and procs[q].exitcode != -signal.SIGTERM):
+                    failures[q] = payload
+            pending -= stop
         if failures:
             roots = [p for p, exc in failures.items() if not isinstance(exc, _LinkLost)]
             p = min(roots or failures)
             raise PipelineError(p, int(self.steps[p]), failures[p]) from failures[p]
         return reports
-
-
-def _stop(procs, readers, workers, failures) -> None:
-    """Terminate workers, keeping in failures any failure they reported first."""
-    for p in workers:
-        if procs[p].is_alive():
-            procs[p].terminate()
-    for p in workers:
-        procs[p].join()
-        kind, payload = _read_report(readers[p], procs[p])
-        # a worker this call terminated has no failure of its own
-        if kind == "failed" or (kind == "exited" and procs[p].exitcode != -signal.SIGTERM):
-            failures[p] = payload
 
 
 def _read_report(reader, proc) -> tuple:

@@ -20,9 +20,9 @@ c(t) sum_j a_j(l) s_j(x, y), has its field loads L_j = integral of s_j phi_i
 assembled and its factors a_j(l_m) tabulated once per run, so a slice's load
 is the sum of the scaled vectors (c(t) a_j(l_m)) L_j; any other source is
 evaluated at the quadrature points and its load assembled once per slice.
-Every system solve has a width that is a multiple of fem.GROUP (a partial
-panel is padded with zeros), so a slice's bytes do not depend on its block,
-chunk or worker.  A level with a non-finite value raises SolveFailure
+Every system solve has the same fixed width (fem.PANEL right-hand sides, a
+partial panel padded with zeros), so a slice's bytes do not depend on its
+block, chunk or worker.  A level with a non-finite value raises SolveFailure
 carrying (n, m).
 """
 
@@ -304,8 +304,8 @@ def advance_block(
     solve are one call each per chunk.  A separable source adds
     (c(t) a_j(l_m)) L_j to row m one field j at a time, elementwise, so a
     row's load does not depend on the chunk; any other source is evaluated
-    and its load assembled once per slice.  The solver sees only widths that
-    are multiples of fem.GROUP, so every row gets the same bytes in any block.
+    and its load assembled once per slice.  The solver works on panels of a
+    fixed width, so every row gets the same bytes in any block.
     Raises SolveFailure at the first slice with a non-finite value.
     """
     work = ops._work

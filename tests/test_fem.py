@@ -260,8 +260,8 @@ def test_direct_solver_keeps_the_default_factor_on_a_convection_dominated_system
     x = solver.solve_rows(rows)
     residual = np.linalg.norm(rows - (A @ x.T).T, axis=1) / np.linalg.norm(rows, axis=1)
     assert residual.max() <= 1e-12
-    # this factor gives a column other bytes in calls whose width is not a
-    # multiple of four, so a row alone must still get its bytes from the block
+    # this factor gives a column other bytes at some call widths, so a row
+    # solved alone must still get the bytes it gets in the block
     for i, row in enumerate(rows):
         assert solver.solve_rows(row[None, :])[0].tobytes() == x[i].tobytes(), i
 

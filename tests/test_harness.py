@@ -147,6 +147,10 @@ def test_config_validation():
         StudyConfig(levels=(0.25, 0.5))
     with pytest.raises(ValueError, match="scaling"):
         StudyConfig(scaling_mode="diagonal")
+    with pytest.raises(ValueError, match="n_steps and block must be >= 1, got 0 and 8"):
+        StudyConfig(n_steps=0)
+    with pytest.raises(ValueError, match="n_steps and block must be >= 1, got 32 and 0"):
+        StudyConfig(block=0)
 
 
 def test_coupling_rules():

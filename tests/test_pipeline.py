@@ -11,6 +11,7 @@ from pbemoc.fem import SolverConfig
 from pbemoc.mesh import UNIT_SQUARE, build_structured_mesh, reference_basis
 from pbemoc.pipeline import (
     HEADER,
+    LEFT_WAIT_S,
     PipelineError,
     ProtocolError,
     _Engine,
@@ -194,9 +195,9 @@ def test_a_worker_that_only_lost_its_link_is_not_blamed(monkeypatch):
 
     real_wait = pipeline.wait
 
-    def late_wait(objects):
+    def late_wait(objects, timeout=None):
         time.sleep(0.2)
-        return real_wait(objects)
+        return real_wait(objects, timeout)
 
     monkeypatch.setattr(pipeline, "wait", late_wait)
     engine = synthetic_engine(3, 8, 20, stage_cost=0.001, exit_at=(2, 1, 6))
@@ -236,6 +237,25 @@ def test_root_cause_is_the_lowest_failing_worker_whatever_the_timing():
         engine.execute()
     assert (err.value.worker, err.value.step) == (0, 1)
     assert "block at m0=0" in str(err.value.cause)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_left_worker_that_stops_moving_after_a_failure_is_stopped():
+    # worker 1 fails at once while worker 0 stays 20 s in its first level: its
+    # step stays put, so it is stopped well before it could raise, and worker
+    # 1's failure is the root; an unbounded wait would name worker 0 after 20 s
+    def advance(n, left, prev, m0, out):
+        if m0 == 0:
+            time.sleep(20)
+        raise ValueError(f"block at m0={m0}")
+
+    engine = _Engine(partition(4, 2), 2, lambda b: np.zeros((len(b), 1)), advance)
+    t0 = time.perf_counter()
+    with pytest.raises(PipelineError) as err:
+        engine.execute()
+    assert time.perf_counter() - t0 < 3 * LEFT_WAIT_S + 2
+    assert (err.value.worker, err.value.step) == (1, 1)
+    assert "block at m0=3" in str(err.value.cause)
     assert multiprocessing.active_children() == []
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from pbemoc import stepper
 from pbemoc.characteristics import CflViolationError, LGrid, TimeGrid
-from pbemoc.fem import GROUP, PANEL, FieldSlice, SolveFailure, SolverConfig
+from pbemoc.fem import PANEL, FieldSlice, SolveFailure, SolverConfig
 from pbemoc.mesh import UNIT_SQUARE, build_structured_mesh, quadrature_rule, reference_basis
 from pbemoc.pipeline import PipelineError, run_pipeline
 from pbemoc.stepper import (
@@ -483,9 +483,9 @@ def test_run_sequential_solves_once_per_slice(mms, monkeypatch):
     # one block per chunk, the chunks' rows the level's slices, so each slice once
     assert blocks == [(PANEL, mesh.num_nodes), (lgrid.M - PANEL, mesh.num_nodes)] * tgrid.N
     assert sum(rows for rows, _ in blocks) == lgrid.M * tgrid.N
-    # one SuperLU call per chunk, a multiple of GROUP wide and at most PANEL
+    # one SuperLU call per chunk, each exactly PANEL right-hand sides wide
+    assert set(lu.shapes) == {(mesh.num_nodes, PANEL)}
     assert len(lu.shapes) == len(blocks) == tgrid.N * -(-lgrid.M // PANEL)
-    assert all(n == mesh.num_nodes and w % GROUP == 0 and w <= PANEL for n, w in lu.shapes)
     monkeypatch.undo()
     plain = run_sequential(mms, mesh, basis, lgrid, tgrid)
     assert out.as_matrix().tobytes() == plain.as_matrix().tobytes()
@@ -493,9 +493,8 @@ def test_run_sequential_solves_once_per_slice(mms, monkeypatch):
 
 def test_panel_solve_bytes_do_not_depend_on_block_layout(mms):
     # on the P1 h=1/32 system a column's bytes depend on the SuperLU call's
-    # width, so only widths that are multiples of GROUP keep a row's bytes
-    # block-independent; blocks up to 70 rows span three panels and end in
-    # every residue mod GROUP
+    # width, so only a fixed panel width keeps a row's bytes block-independent;
+    # blocks of up to 70 rows span three panels and end at every panel offset
     mesh = build_structured_mesh(mms.domain, 1.0 / 32, 1)
     lgrid = mms.lgrid(64)
     ops = precompute_operators(mesh, P1, mms, lgrid.iota, lgrid)
