@@ -3,7 +3,11 @@ gradient projections, and error norms.
 
 Operators are assembled element-wise with quadrature that is exact for the
 polynomial integrands (degree 2k for the bilinear forms) and one order above
-the generic data terms (degree 2k+2 for loads, projections, and norms).
+the generic data terms (degree 2k+2 for loads, projections, and norms).  A
+run's operators come from one quadrature per degree, built for that run and
+dropped after it (_run_operators).  A projector can project a family of data
+g(p, x, y) for many parameters p with one evaluation per group of them, and
+still gives each member the bytes of its own projection.
 Matrices are CSR; the direct solver is a sparse LU factorization, which makes
 every solve deterministic and byte-reproducible.  Its block solve hands the
 factorization exactly PANEL right-hand sides per call, so a row gets the same
@@ -128,12 +132,18 @@ class _QuadData:
         self.rule = rule
         self.conn = mesh.elements
         self.vals = basis.values(ref)  # (nl, nq)
-        ref_grads = basis.gradients(ref)  # (nl, nq, 2)
-        self.grads = np.einsum("eab,lqb->elqa", inv_t, ref_grads)  # (ne, nl, nq, 2)
+        # the affine maps are written out as two-term sums, which is what
+        # einsum computes ("eab,lqb->elqa" for the gradients, "eb,qb->eq" for
+        # the points) at a fraction of its cost
+        rg = basis.gradients(ref)  # (nl, nq, 2)
+        self.grads = np.stack(
+            [inv_t[:, a, 0, None, None] * rg[:, :, 0] + inv_t[:, a, 1, None, None] * rg[:, :, 1] for a in (0, 1)],
+            axis=-1,
+        )  # (ne, nl, nq, 2)
         self.wdet = rule.weights[None, :] * np.abs(det)[:, None]  # (ne, nq)
         # physical quadrature points, (ne, nq)
-        self.x = verts[:, 0, 0][:, None] + np.einsum("eb,qb->eq", jac[:, 0, :], ref)
-        self.y = verts[:, 0, 1][:, None] + np.einsum("eb,qb->eq", jac[:, 1, :], ref)
+        self.x = verts[:, 0, 0][:, None] + (jac[:, 0, 0, None] * ref[:, 0] + jac[:, 0, 1, None] * ref[:, 1])
+        self.y = verts[:, 0, 1][:, None] + (jac[:, 1, 0, None] * ref[:, 0] + jac[:, 1, 1, None] * ref[:, 1])
 
     @property
     def points(self):
@@ -163,37 +173,43 @@ def _scatter(mesh: SpatialMesh, local: np.ndarray) -> sp.csr_matrix:
     return mat
 
 
+def _mass_local(qd: _QuadData) -> np.ndarray:
+    return np.einsum("eq,iq,jq->eij", qd.wdet, qd.vals, qd.vals)
+
+
+def _stiffness_local(qd: _QuadData) -> np.ndarray:
+    """Local unit-diffusion matrices, (ne, nl, nl)."""
+    return np.einsum("eq,eiqa,ejqa->eij", qd.wdet, qd.grads, qd.grads)
+
+
+def _convection_local(qd: _QuadData, b: tuple[float, float]) -> np.ndarray:
+    bvec = np.asarray(b, dtype=float)
+    if bvec.shape != (2,):
+        raise ValueError(f"velocity must be a 2-vector, got shape {bvec.shape}")
+    bgrad = np.einsum("a,ejqa->ejq", bvec, qd.grads)
+    return np.einsum("eq,iq,ejq->eij", qd.wdet, qd.vals, bgrad)
+
+
 def assemble_mass(mesh: SpatialMesh, basis: BasisSet) -> sp.csr_matrix:
     """Mass matrix with entries (i, j) -> integral of phi_i phi_j."""
-    qd = _form_quad(mesh, basis)
-    local = np.einsum("eq,iq,jq->eij", qd.wdet, qd.vals, qd.vals)
-    return _scatter(mesh, local)
+    return _scatter(mesh, _mass_local(_form_quad(mesh, basis)))
 
 
 def assemble_stiffness(mesh: SpatialMesh, basis: BasisSet, epsilon: float = 1.0) -> sp.csr_matrix:
     """Diffusion matrix with entries epsilon * integral of grad phi_i . grad phi_j."""
     if epsilon <= 0.0:
         raise ValueError(f"diffusion coefficient must be positive, got {epsilon}")
-    qd = _form_quad(mesh, basis)
-    local = epsilon * np.einsum("eq,eiqa,ejqa->eij", qd.wdet, qd.grads, qd.grads)
-    return _scatter(mesh, local)
+    return _scatter(mesh, epsilon * _stiffness_local(_form_quad(mesh, basis)))
 
 
 def assemble_convection(mesh: SpatialMesh, basis: BasisSet, b: tuple[float, float]) -> sp.csr_matrix:
     """Convection matrix with entries (i, j) -> integral of (b . grad phi_j) phi_i."""
-    bvec = np.asarray(b, dtype=float)
-    if bvec.shape != (2,):
-        raise ValueError(f"velocity must be a 2-vector, got shape {bvec.shape}")
-    qd = _form_quad(mesh, basis)
-    bgrad = np.einsum("a,ejqa->ejq", bvec, qd.grads)
-    local = np.einsum("eq,iq,ejq->eij", qd.wdet, qd.vals, bgrad)
-    return _scatter(mesh, local)
+    return _scatter(mesh, _convection_local(_form_quad(mesh, basis), b))
 
 
-def _point_scatter(mesh: SpatialMesh, basis: BasisSet):
-    """Load-degree quadrature data plus a builder that turns (ne, nl, nq) weights
-    into the sparse (num_nodes, ne*nq) scatter of quadrature-point values."""
-    qd = _data_quad(mesh, basis)
+def _point_scatter(mesh: SpatialMesh, qd: _QuadData):
+    """Builder that turns (ne, nl, nq) weights into the sparse (num_nodes, ne*nq)
+    scatter of quadrature-point values."""
     ne, nq = qd.wdet.shape
     nl = qd.conn.shape[1]
     rows = np.repeat(qd.conn, nq, axis=1).ravel()
@@ -203,7 +219,16 @@ def _point_scatter(mesh: SpatialMesh, basis: BasisSet):
     def scatter(weights: np.ndarray) -> sp.csr_matrix:
         return sp.coo_matrix((weights.ravel(), (rows, cols)), shape=shape).tocsr()
 
-    return qd, scatter
+    return scatter
+
+
+def _from_parts(cls, *args):
+    """An instance of cls set up by cls._setup(*args) instead of its
+    constructor, from parts (quadrature data, matrices) that the caller
+    shares between several objects."""
+    obj = cls.__new__(cls)
+    obj._setup(*args)
+    return obj
 
 
 class LoadAssembler:
@@ -214,8 +239,10 @@ class LoadAssembler:
     """
 
     def __init__(self, mesh: SpatialMesh, basis: BasisSet):
-        qd, scatter = _point_scatter(mesh, basis)
-        self._matrix = scatter(qd.wdet[:, None, :] * qd.vals[None, :, :])
+        self._setup(mesh, _data_quad(mesh, basis))
+
+    def _setup(self, mesh: SpatialMesh, qd: _QuadData) -> None:
+        self._matrix = _point_scatter(mesh, qd)(qd.wdet[:, None, :] * qd.vals[None, :, :])
         self.x, self.y = qd.points
 
     def assemble(self, g: Callable) -> np.ndarray:
@@ -229,15 +256,19 @@ class GradientLoadAssembler:
     """Reusable evaluator of integral of grad g . grad phi_i for fields with known gradient."""
 
     def __init__(self, mesh: SpatialMesh, basis: BasisSet):
-        qd, scatter = _point_scatter(mesh, basis)
-        # (ne, nl, nq, 2) weighted physical gradients
-        wg = qd.wdet[:, None, :, None] * qd.grads
-        self._mx = scatter(wg[..., 0])
-        self._my = scatter(wg[..., 1])
+        self._setup(mesh, _data_quad(mesh, basis))
+
+    def _setup(self, mesh: SpatialMesh, qd: _QuadData) -> None:
+        scatter = _point_scatter(mesh, qd)
+        # weighted physical gradients, one (ne, nl, nq) component at a time
+        self._mx = scatter(qd.wdet[:, None, :] * qd.grads[..., 0])
+        self._my = scatter(qd.wdet[:, None, :] * qd.grads[..., 1])
         self.x, self.y = qd.points
 
     def assemble(self, g_grad: Callable) -> np.ndarray:
-        gx, gy = g_grad(self.x, self.y)
+        return self._assemble_values(*g_grad(self.x, self.y))
+
+    def _assemble_values(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
         gx = np.asarray(gx, dtype=float).ravel()
         gy = np.asarray(gy, dtype=float).ravel()
         return self._mx @ gx + self._my @ gy
@@ -370,23 +401,82 @@ class RitzProjector:
     """
 
     def __init__(self, mesh: SpatialMesh, basis: BasisSet, solver_config: SolverConfig | None = None):
-        a0 = assemble_stiffness(mesh, basis, 1.0)
-        self.matrix = apply_dirichlet(a0, mesh.boundary_mask)
+        self._setup(mesh, assemble_stiffness(mesh, basis, 1.0), GradientLoadAssembler(mesh, basis), solver_config)
+
+    def _setup(
+        self,
+        mesh: SpatialMesh,
+        stiffness: sp.csr_matrix,
+        grad_asm: GradientLoadAssembler,
+        solver_config: SolverConfig | None,
+    ) -> None:
+        self.matrix = apply_dirichlet(stiffness, mesh.boundary_mask)
         self._solver = make_solver(self.matrix, solver_config)
-        self._grad_asm = GradientLoadAssembler(mesh, basis)
+        self._grad_asm = grad_asm
         self._bx = mesh.nodes[mesh.boundary_mask, 0]
         self._by = mesh.nodes[mesh.boundary_mask, 1]
         self._interior = ~mesh.boundary_mask
 
     def project(self, g: Callable, g_grad: Callable) -> np.ndarray:
-        trace = np.max(np.abs(np.asarray(g(self._bx, self._by), dtype=float)))
-        if not trace <= TRACE_TOL:  # NaN fails this test, not the reverse one
-            raise ValueError(
-                f"projected data must vanish on the boundary; found trace {trace:.3e}"
-            )
-        rhs = self._grad_asm.assemble(g_grad)
-        rhs = np.where(self._interior, rhs, 0.0)
-        return self._solver.solve(rhs)
+        _check_trace(g(self._bx, self._by))
+        return self._solve(self._grad_asm.assemble(g_grad))
+
+    def _project_family(self, g: Callable, g_grad: Callable, params: np.ndarray, out: np.ndarray) -> None:
+        """Fill out[i] with project(g(params[i], x, y), g_grad(params[i], x, y)).
+
+        g and g_grad are called once per group of parameters, with the group
+        as a (k, 1) column and x, y as 1-D point arrays, so row i of a result
+        may depend only on params[i]; a 1-D result is broadcast over the group.
+        A group holds about one solver panel of gradient values.  Each row is
+        checked, assembled and solved as project does it, so it gets the
+        bytes project gives it.
+        """
+        asm = self._grad_asm
+        nq = asm.x.size
+        group = max(1, PANEL * self.matrix.shape[0] // nq)
+        for s in range(0, len(params), group):
+            p = np.asarray(params[s : s + group], dtype=float)[:, None]
+            trace = np.broadcast_to(np.asarray(g(p, self._bx, self._by), dtype=float), (p.size, self._bx.size))
+            for row in trace:
+                _check_trace(row)
+            gx, gy = (np.broadcast_to(np.asarray(c, dtype=float), (p.size, nq)) for c in g_grad(p, asm.x, asm.y))
+            for i in range(p.size):
+                out[s + i] = self._solve(asm._assemble_values(gx[i], gy[i]))
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self._solver.solve(np.where(self._interior, rhs, 0.0))
+
+
+def _check_trace(values) -> None:
+    """Raise ValueError unless the boundary values of projected data vanish."""
+    trace = np.max(np.abs(np.asarray(values, dtype=float)))
+    if not trace <= TRACE_TOL:  # NaN fails this test, not the reverse one
+        raise ValueError(
+            f"projected data must vanish on the boundary; found trace {trace:.3e}"
+        )
+
+
+def _run_operators(mesh: SpatialMesh, basis: BasisSet, epsilon: float, b, solver_config: SolverConfig | None):
+    """The mass, stiffness and convection matrices, the projector and the load
+    assembler of one run, built from one quadrature per degree.
+
+    The unit stiffness is assembled once, for the projector and, scaled by
+    epsilon element by element, for the diffusion term, so every matrix has
+    the bytes of its assemble_* function.  Each quadrature is dropped before
+    the next one is built, and none outlives the call.
+    """
+    form = _form_quad(mesh, basis)
+    unit = _stiffness_local(form)
+    mass = _scatter(mesh, _mass_local(form))
+    stiffness = _scatter(mesh, epsilon * unit)
+    convection = _scatter(mesh, _convection_local(form, b))
+    del form
+    data = _data_quad(mesh, basis)
+    load = _from_parts(LoadAssembler, mesh, data)
+    grad_asm = _from_parts(GradientLoadAssembler, mesh, data)
+    del data
+    projector = _from_parts(RitzProjector, mesh, _scatter(mesh, unit), grad_asm, solver_config)
+    return mass, stiffness, convection, projector, load
 
 
 class ErrorEvaluator:

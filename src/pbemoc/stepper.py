@@ -8,7 +8,9 @@ system matrix does not depend on (n, m) because the growth rate depends only
 on the internal coordinate, so it is assembled and factorized once.
 
 Initial slices and the slices at the inflow end of the internal interval are
-gradient projections of the prescribed data.
+gradient projections of the prescribed data.  The drivers evaluate the
+initial data for a group of slices per call and solve each slice alone, so
+level 0 has the bytes of slice-by-slice projections.
 
 One kernel, advance_block, advances a contiguous block of slices of a level,
 held as a (rows, num_dofs) float64 array.  The sequential loop calls it once
@@ -44,14 +46,11 @@ from .characteristics import (
 from .fem import (
     PANEL,
     FieldSlice,
-    LoadAssembler,
     RitzProjector,
     SolveFailure,
     SolverConfig,
+    _run_operators,
     apply_dirichlet,
-    assemble_convection,
-    assemble_mass,
-    assemble_stiffness,
     make_solver,
 )
 from .mesh import BasisSet, SpatialMesh
@@ -111,6 +110,10 @@ class ProblemSpec:
     (fx, fy) pair.  G(l) is the growth rate along the internal coordinate.
     A source given as a SeparableSource enters the time steps through loads
     assembled once per run; any other callable is evaluated per slice.
+
+    The drivers evaluate z_init and z_init_grad for several slices per call,
+    with l as a (k, 1) column and x, y as (q,) arrays: row i of a result may
+    depend only on l[i], and a (q,) result is broadcast over the k rows.
     """
 
     epsilon: float
@@ -146,9 +149,9 @@ class SolutionSurface:
 
 
 class Operators:
-    """Assembled matrices, factorizations, quadrature caches, the field
-    loads of a separable source, and the chunk buffers of advance_block, for
-    one run.
+    """Assembled matrices, factorizations, the projector and load assembler,
+    the field loads of a separable source, and the chunk buffers of
+    advance_block, for one run.
 
     Pipeline workers inherit the operators through fork; a worker's first
     write to a buffer gives it a copy of its own.
@@ -169,14 +172,12 @@ class Operators:
         self.tau = tau
         self.lgrid = lgrid
 
-        self.mass = assemble_mass(mesh, basis)
-        stiffness = assemble_stiffness(mesh, basis, spec.epsilon)
-        convection = assemble_convection(mesh, basis, spec.b)
+        self.mass, stiffness, convection, self.projector, self.load = _run_operators(
+            mesh, basis, spec.epsilon, spec.b, solver_config
+        )
         self.system = (self.mass.multiply(1.0 / tau) + stiffness + convection).tocsr()
         self.system_bc = apply_dirichlet(self.system, mesh.boundary_mask)
         self._solver = make_solver(self.system_bc, solver_config)
-        self.projector = RitzProjector(mesh, basis, solver_config=solver_config)
-        self.load = LoadAssembler(mesh, basis)
         # a separable source: the loads L_j of its fields, and a_j(l_m) as row j
         self.source_loads = self.source_factors = None
         if isinstance(spec.f, SeparableSource):
@@ -228,20 +229,17 @@ def _project_boundary(projector: RitzProjector, spec: ProblemSpec, t: float) -> 
     )
 
 
-def _initial_values(projector: RitzProjector, spec: ProblemSpec, lgrid: LGrid, m: int) -> np.ndarray:
-    """Level-0 values of slice m: the inflow data at m=0, the initial data elsewhere."""
-    if m == 0:
-        return _project_boundary(projector, spec, 0.0)
-    l_m = float(lgrid.nodes[m])
-    return projector.project(
-        lambda x, y: spec.z_init(l_m, x, y),
-        lambda x, y: spec.z_init_grad(l_m, x, y),
-    )
-
-
 def _initial_rows(projector: RitzProjector, spec: ProblemSpec, lgrid: LGrid, block: range) -> np.ndarray:
-    """Level-0 values of the slices in block, one row each."""
-    return np.stack([_initial_values(projector, spec, lgrid, m) for m in block])
+    """Level-0 values of the slices in block, one row each: the inflow data
+    at m=0, the initial data elsewhere, evaluated for a group of slices per
+    call (RitzProjector._project_family) and solved slice by slice."""
+    rows = np.empty((len(block), projector.matrix.shape[0]))
+    if block.start == 0:
+        rows[0] = _project_boundary(projector, spec, 0.0)
+    first = max(block.start, 1)
+    interior = lgrid.nodes[first : block.stop]
+    projector._project_family(spec.z_init, spec.z_init_grad, interior, rows[first - block.start :])
+    return rows
 
 
 def _level_surface(n: int, level: np.ndarray) -> SolutionSurface:
@@ -257,9 +255,20 @@ def initialize(
     operators: Operators,
 ) -> SolutionSurface:
     """Level-0 surface: gradient projections of the initial and inflow data,
-    with the projector, and so the solver, of operators."""
+    one projector.project call per slice, with the projector, and so the
+    solver, of operators.  The drivers build the same bytes with the initial
+    data evaluated for several slices per call."""
     _check_compatibility(spec, mesh, lgrid)
-    return _level_surface(0, _initial_rows(operators.projector, spec, lgrid, range(lgrid.M + 1)))
+    projector = operators.projector
+    rows = [_project_boundary(projector, spec, 0.0)]
+    for l_m in lgrid.nodes[1:].tolist():
+        rows.append(
+            projector.project(
+                lambda x, y: spec.z_init(l_m, x, y),
+                lambda x, y: spec.z_init_grad(l_m, x, y),
+            )
+        )
+    return _level_surface(0, np.stack(rows))
 
 
 def boundary_slice(

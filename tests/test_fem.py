@@ -42,6 +42,60 @@ P1 = reference_basis(1)
 
 
 # ---------------------------------------------------------------------------
+# quadrature data
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("degree", [2, 4, 6])
+def test_quad_data_maps_are_bitwise_the_einsum_formulas(order, degree):
+    # the written-out affine maps must give what the generic einsum gives
+    mesh = build_structured_mesh(Rectangle(-0.5, 1.5, 0.25, 1.0), 0.25, order)
+    qd = fem._QuadData(mesh, reference_basis(order), degree)
+    ref = quadrature_rule(degree).xy
+    verts = mesh.vertex_coords
+    jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
+    inv_t = np.stack([jac[:, 1, 1], -jac[:, 1, 0], -jac[:, 0, 1], jac[:, 0, 0]], axis=-1).reshape(-1, 2, 2)
+    inv_t /= (jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0])[:, None, None]
+    grads = np.einsum("eab,lqb->elqa", inv_t, reference_basis(order).gradients(ref))
+    x = verts[:, 0, 0][:, None] + np.einsum("eb,qb->eq", jac[:, 0, :], ref)
+    y = verts[:, 0, 1][:, None] + np.einsum("eb,qb->eq", jac[:, 1, :], ref)
+    assert qd.grads.tobytes() == grads.tobytes()
+    assert qd.x.tobytes() == x.tobytes()
+    assert qd.y.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_one_quadrature_per_degree_in_one_run_preamble(mms, order, monkeypatch):
+    from pbemoc.characteristics import LGrid
+    from pbemoc.stepper import precompute_operators
+
+    degrees = []
+
+    class Spy(fem._QuadData):
+        def __init__(self, mesh, basis, degree):
+            degrees.append(degree)
+            super().__init__(mesh, basis, degree)
+
+    mesh = build_structured_mesh(UNIT_SQUARE, 0.25, order)
+    basis = reference_basis(order)
+    monkeypatch.setattr(fem, "_QuadData", Spy)
+    ops = precompute_operators(mesh, basis, mms, 0.25, LGrid(0.0, 1.0, 4))
+    assert sorted(degrees) == [2 * order, 2 * order + 2]
+    monkeypatch.undo()
+    # the shared quadrature gives the bytes of the public assemblers
+    unit = apply_dirichlet(assemble_stiffness(mesh, basis, 1.0), mesh.boundary_mask)
+    system = (
+        assemble_mass(mesh, basis).multiply(1.0 / 0.25)
+        + assemble_stiffness(mesh, basis, mms.epsilon)
+        + assemble_convection(mesh, basis, mms.b)
+    )
+    for got, expected in ((ops.mass, assemble_mass(mesh, basis)), (ops.projector.matrix, unit), (ops.system, system)):
+        got, expected = got.tocsr(), expected.tocsr()
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got, part).tobytes() == getattr(expected, part).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # mass
 
 

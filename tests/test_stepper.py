@@ -260,6 +260,76 @@ def test_projections_use_the_solver_of_their_operators(tmp_path):
     assert direct.as_matrix().tobytes() != seq.tobytes()  # the two solvers differ here
 
 
+# initial data of three kinds: the benchmark's, one that ignores l (its
+# fields return shape (q,)) and one that scales by (1 + l)
+LEVEL0_DATA = {
+    "mms": None,
+    "l-free": dict(z_init=lambda l, x, y: sines(x, y), z_init_grad=lambda l, x, y: sines_grad(x, y)),
+    "one-plus-l": dict(
+        z_init=lambda l, x, y: (1.0 + l) * sines(x, y),
+        z_init_grad=lambda l, x, y: tuple((1.0 + l) * g for g in sines_grad(x, y)),
+    ),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("data", sorted(LEVEL0_DATA))
+def test_driver_level_zero_is_bitwise_initialize(mms, order, data):
+    # the drivers evaluate the initial data for several slices per call,
+    # initialize projects slice by slice; every row has the same bytes
+    from pbemoc.pipeline import partition
+
+    mesh, basis, lgrid, _ = small_setup(h=0.125 if order == 1 else 0.25, M=16, order=order)
+    if LEVEL0_DATA[data] is None:
+        spec = mms
+    else:
+        inflow = dict(z_bdry=lambda t, x, y: sines(x, y), z_bdry_grad=lambda t, x, y: sines_grad(x, y))
+        spec = make_spec(**inflow, **LEVEL0_DATA[data])
+    ops = projection_ops(mesh, basis, spec, lgrid)
+    expected = initialize(mesh, basis, spec, lgrid, ops).as_matrix().tobytes()
+    rows = stepper._initial_rows(ops.projector, spec, lgrid, range(lgrid.M + 1))
+    assert rows.tobytes() == expected
+    for P in (2, 3):
+        blocks = partition(lgrid.M, P).blocks
+        rows = np.concatenate([stepper._initial_rows(ops.projector, spec, lgrid, b) for b in blocks])
+        assert rows.tobytes() == expected
+
+
+@pytest.mark.parametrize("bad", [1.0, np.nan], ids=["nonzero", "nan"])
+@pytest.mark.parametrize("workers", [None, 2], ids=["sequential", "pipeline"])
+def test_bad_initial_data_in_a_group_raises_as_its_projection(bad, workers):
+    # slice m=5 alone has data that is nonzero (or NaN) on the boundary; the
+    # drivers evaluate it in one call with other slices
+    mesh, basis, lgrid, tgrid = small_setup(h=0.125, M=8, N=8)
+    l_bad = float(lgrid.nodes[5])
+    calls = []
+
+    def z_init(l, x, y):
+        calls.append(np.array(l, dtype=float).ravel())
+        return np.where(l == l_bad, bad, 0.0) + 0.0 * x
+
+    spec = make_spec(z_init=z_init)
+    projector = projection_ops(mesh, basis, spec, lgrid).projector
+    with pytest.raises(ValueError) as alone:
+        projector.project(lambda x, y: z_init(l_bad, x, y), lambda x, y: zero_pair(x, y))
+    calls.clear()
+    if workers is None:
+        with pytest.raises(ValueError) as err:
+            run_sequential(spec, mesh, basis, lgrid, tgrid)
+        assert str(err.value) == str(alone.value)
+        # the failing slice was evaluated together with slices on both sides
+        group = next(c for c in calls if l_bad in c)
+        assert 0 < list(group).index(l_bad) < len(group) - 1
+    else:
+        # partition(8, 2): worker 1 owns slices 5..8
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(spec, mesh, basis, lgrid, tgrid, workers)
+        assert (err.value.worker, err.value.step) == (1, 0)
+        assert "worker 1 failed at step 0" in str(err.value)
+        assert isinstance(err.value.cause, ValueError)
+        assert str(err.value.cause) == str(alone.value)
+
+
 # ---------------------------------------------------------------------------
 # stepping
 
