@@ -266,9 +266,7 @@ class GradientLoadAssembler:
         self.x, self.y = qd.points
 
     def assemble(self, g_grad: Callable) -> np.ndarray:
-        return self._assemble_values(*g_grad(self.x, self.y))
-
-    def _assemble_values(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+        gx, gy = g_grad(self.x, self.y)
         gx = np.asarray(gx, dtype=float).ravel()
         gy = np.asarray(gy, dtype=float).ravel()
         return self._mx @ gx + self._my @ gy
@@ -418,8 +416,14 @@ class RitzProjector:
         self._interior = ~mesh.boundary_mask
 
     def project(self, g: Callable, g_grad: Callable) -> np.ndarray:
-        _check_trace(g(self._bx, self._by))
-        return self._solve(self._grad_asm.assemble(g_grad))
+        trace = np.max(np.abs(np.asarray(g(self._bx, self._by), dtype=float)))
+        if not trace <= TRACE_TOL:  # NaN fails this test, not the reverse one
+            raise ValueError(
+                f"projected data must vanish on the boundary; found trace {trace:.3e}"
+            )
+        rhs = self._grad_asm.assemble(g_grad)
+        rhs = np.where(self._interior, rhs, 0.0)
+        return self._solver.solve(rhs)
 
     def _project_family(self, g: Callable, g_grad: Callable, params: np.ndarray, out: np.ndarray) -> None:
         """Fill out[i] with project(g(params[i], x, y), g_grad(params[i], x, y)).
@@ -427,33 +431,31 @@ class RitzProjector:
         g and g_grad are called once per group of parameters, with the group
         as a (k, 1) column and x, y as 1-D point arrays, so row i of a result
         may depend only on params[i]; a 1-D result is broadcast over the group.
-        A group holds about one solver panel of gradient values.  Each row is
-        checked, assembled and solved as project does it, so it gets the
-        bytes project gives it.
+        A group holds about one solver panel of gradient values.  Each row
+        then goes through project, so it gets the bytes project gives it.
         """
         asm = self._grad_asm
         nq = asm.x.size
         group = max(1, PANEL * self.matrix.shape[0] // nq)
         for s in range(0, len(params), group):
             p = np.asarray(params[s : s + group], dtype=float)[:, None]
-            trace = np.broadcast_to(np.asarray(g(p, self._bx, self._by), dtype=float), (p.size, self._bx.size))
-            for row in trace:
-                _check_trace(row)
-            gx, gy = (np.broadcast_to(np.asarray(c, dtype=float), (p.size, nq)) for c in g_grad(p, asm.x, asm.y))
+            trace = _family_rows(g(p, self._bx, self._by), p.size, self._bx.size)
+            gx, gy = (_family_rows(c, p.size, nq) for c in g_grad(p, asm.x, asm.y))
             for i in range(p.size):
-                out[s + i] = self._solve(asm._assemble_values(gx[i], gy[i]))
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._solver.solve(np.where(self._interior, rhs, 0.0))
+                out[s + i] = self.project(lambda x, y, i=i: trace[i], lambda x, y, i=i: (gx[i], gy[i]))
 
 
-def _check_trace(values) -> None:
-    """Raise ValueError unless the boundary values of projected data vanish."""
-    trace = np.max(np.abs(np.asarray(values, dtype=float)))
-    if not trace <= TRACE_TOL:  # NaN fails this test, not the reverse one
+def _family_rows(values, k: int, q: int) -> np.ndarray:
+    """Values of a family member evaluated for a (k, 1) parameter column and
+    (q,) points, as k rows of q values."""
+    values = np.asarray(values, dtype=float)
+    try:
+        return np.broadcast_to(values, (k, q))
+    except ValueError:
         raise ValueError(
-            f"projected data must vanish on the boundary; found trace {trace:.3e}"
-        )
+            f"data evaluated with a (k, 1) parameter column and (q,) points must "
+            f"have shape (k, q) or (q,); got {values.shape} for k={k}, q={q}"
+        ) from None
 
 
 def _run_operators(mesh: SpatialMesh, basis: BasisSet, epsilon: float, b, solver_config: SolverConfig | None):

@@ -8,9 +8,9 @@ system matrix does not depend on (n, m) because the growth rate depends only
 on the internal coordinate, so it is assembled and factorized once.
 
 Initial slices and the slices at the inflow end of the internal interval are
-gradient projections of the prescribed data.  The drivers evaluate the
-initial data for a group of slices per call and solve each slice alone, so
-level 0 has the bytes of slice-by-slice projections.
+gradient projections of the prescribed data.  Level 0 evaluates the initial
+data for a group of slices per call and projects each slice alone, so it has
+the bytes of slice-by-slice projections.
 
 One kernel, advance_block, advances a contiguous block of slices of a level,
 held as a (rows, num_dofs) float64 array.  The sequential loop calls it once
@@ -111,9 +111,9 @@ class ProblemSpec:
     A source given as a SeparableSource enters the time steps through loads
     assembled once per run; any other callable is evaluated per slice.
 
-    The drivers evaluate z_init and z_init_grad for several slices per call,
-    with l as a (k, 1) column and x, y as (q,) arrays: row i of a result may
-    depend only on l[i], and a (q,) result is broadcast over the k rows.
+    z_init and z_init_grad are evaluated for several slices per call, with l
+    as a (k, 1) column and x, y as (q,) arrays: row i of a result may depend
+    only on l[i], and a (q,) result is broadcast over the k rows.
     """
 
     epsilon: float
@@ -215,7 +215,8 @@ def precompute_operators(
 
 def _check_compatibility(spec: ProblemSpec, mesh: SpatialMesh, lgrid: LGrid) -> None:
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    gap = np.max(np.abs(spec.z_init(lgrid.l_min, x, y) - spec.z_bdry(0.0, x, y)))
+    l_min = np.full((1, 1), lgrid.l_min)  # a column of one slice, as level 0 passes it
+    gap = np.max(np.abs(spec.z_init(l_min, x, y) - spec.z_bdry(0.0, x, y)))
     if not gap <= COMPAT_TOL:  # NaN fails this test, not the reverse one
         raise ValueError(
             f"initial and inflow data disagree at t=0, l=l_min: max gap {gap:.3e}"
@@ -232,7 +233,7 @@ def _project_boundary(projector: RitzProjector, spec: ProblemSpec, t: float) -> 
 def _initial_rows(projector: RitzProjector, spec: ProblemSpec, lgrid: LGrid, block: range) -> np.ndarray:
     """Level-0 values of the slices in block, one row each: the inflow data
     at m=0, the initial data elsewhere, evaluated for a group of slices per
-    call (RitzProjector._project_family) and solved slice by slice."""
+    call (RitzProjector._project_family) and projected slice by slice."""
     rows = np.empty((len(block), projector.matrix.shape[0]))
     if block.start == 0:
         rows[0] = _project_boundary(projector, spec, 0.0)
@@ -255,20 +256,9 @@ def initialize(
     operators: Operators,
 ) -> SolutionSurface:
     """Level-0 surface: gradient projections of the initial and inflow data,
-    one projector.project call per slice, with the projector, and so the
-    solver, of operators.  The drivers build the same bytes with the initial
-    data evaluated for several slices per call."""
+    with the projector, and so the solver, of operators."""
     _check_compatibility(spec, mesh, lgrid)
-    projector = operators.projector
-    rows = [_project_boundary(projector, spec, 0.0)]
-    for l_m in lgrid.nodes[1:].tolist():
-        rows.append(
-            projector.project(
-                lambda x, y: spec.z_init(l_m, x, y),
-                lambda x, y: spec.z_init_grad(l_m, x, y),
-            )
-        )
-    return _level_surface(0, np.stack(rows))
+    return _level_surface(0, _initial_rows(operators.projector, spec, lgrid, range(lgrid.M + 1)))
 
 
 def boundary_slice(

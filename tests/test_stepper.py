@@ -274,9 +274,9 @@ LEVEL0_DATA = {
 
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("data", sorted(LEVEL0_DATA))
-def test_driver_level_zero_is_bitwise_initialize(mms, order, data):
-    # the drivers evaluate the initial data for several slices per call,
-    # initialize projects slice by slice; every row has the same bytes
+def test_level_zero_is_bitwise_slice_by_slice_projections(mms, order, data):
+    # level 0 evaluates the initial data for several slices per call; every
+    # row must have the bytes of its own projection with a scalar l
     from pbemoc.pipeline import partition
 
     mesh, basis, lgrid, _ = small_setup(h=0.125 if order == 1 else 0.25, M=16, order=order)
@@ -286,13 +286,28 @@ def test_driver_level_zero_is_bitwise_initialize(mms, order, data):
         inflow = dict(z_bdry=lambda t, x, y: sines(x, y), z_bdry_grad=lambda t, x, y: sines_grad(x, y))
         spec = make_spec(**inflow, **LEVEL0_DATA[data])
     ops = projection_ops(mesh, basis, spec, lgrid)
-    expected = initialize(mesh, basis, spec, lgrid, ops).as_matrix().tobytes()
-    rows = stepper._initial_rows(ops.projector, spec, lgrid, range(lgrid.M + 1))
+    projector = ops.projector
+    reference = [projector.project(lambda x, y: spec.z_bdry(0.0, x, y), lambda x, y: spec.z_bdry_grad(0.0, x, y))]
+    for l_m in lgrid.nodes[1:].tolist():
+        reference.append(
+            projector.project(lambda x, y: spec.z_init(l_m, x, y), lambda x, y: spec.z_init_grad(l_m, x, y))
+        )
+    expected = np.stack(reference).tobytes()
+    assert initialize(mesh, basis, spec, lgrid, ops).as_matrix().tobytes() == expected
+    rows = stepper._initial_rows(projector, spec, lgrid, range(lgrid.M + 1))
     assert rows.tobytes() == expected
     for P in (2, 3):
         blocks = partition(lgrid.M, P).blocks
-        rows = np.concatenate([stepper._initial_rows(ops.projector, spec, lgrid, b) for b in blocks])
+        rows = np.concatenate([stepper._initial_rows(projector, spec, lgrid, b) for b in blocks])
         assert rows.tobytes() == expected
+
+
+def test_initial_data_of_a_wrong_shape_names_the_contract():
+    # (q, k) values instead of (k, q): the error names the expected shapes
+    mesh, basis, lgrid, tgrid = small_setup(h=0.125, M=8)
+    spec = make_spec(z_init_grad=lambda l, x, y: (np.outer(x, l), np.outer(y, l)))
+    with pytest.raises(ValueError, match=r"must have shape \(k, q\) or \(q,\)"):
+        run_sequential(spec, mesh, basis, lgrid, tgrid)
 
 
 @pytest.mark.parametrize("bad", [1.0, np.nan], ids=["nonzero", "nan"])
