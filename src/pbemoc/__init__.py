@@ -7,14 +7,13 @@ deterministic pipeline of workers partitioned over the internal grid.
 """
 
 from .characteristics import (
-    Backtrace,
     CflCheck,
     CflViolationError,
     LGrid,
     TimeGrid,
-    backtrace,
     check_cfl,
     combine_backtraced,
+    foot_weights,
 )
 from .fem import (
     ErrorEvaluator,
@@ -29,7 +28,6 @@ from .fem import (
 from .harness import (
     ConvergenceRow,
     MMSProblem,
-    ScalingRow,
     StudyConfig,
     characteristics_study,
     convergence_study,
@@ -51,6 +49,7 @@ from .pipeline import (
     PipelineError,
     PipelinePlan,
     PipelineRun,
+    ScalingRow,
     partition,
     run_pipeline,
     timing_report,

@@ -1,5 +1,5 @@
 """Discretization of (time x internal coordinate): grids, the step-size
-stability bound, backward foot tracing, and slice interpolation.
+stability bound, the table of foot weights, and slice interpolation.
 
 The transport part is integrated along characteristics: the value carried to
 node l_m at the new time level comes from the foot l_m - tau*G(l_m) at the
@@ -21,11 +21,10 @@ from .fem import FieldSlice
 __all__ = [
     "LGrid",
     "TimeGrid",
-    "Backtrace",
     "CflCheck",
     "CflViolationError",
     "check_cfl",
-    "backtrace",
+    "foot_weights",
     "combine_backtraced",
 ]
 
@@ -104,12 +103,9 @@ class CflCheck:
         )
 
 
-def _sample_growth(lgrid: LGrid, G: Callable) -> np.ndarray:
-    ell = np.linspace(lgrid.l_min, lgrid.l_max, CFL_SAMPLES + 1)
-    vals = np.asarray(G(ell), dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(ell.shape, float(vals))
-    return vals
+def _growth_at(G: Callable, ell: np.ndarray) -> np.ndarray:
+    """G at the points ell, as floats of their shape; a scalar result is broadcast."""
+    return np.broadcast_to(np.asarray(G(ell), dtype=float), ell.shape)
 
 
 def check_cfl(tau: float, lgrid: LGrid, G: Callable) -> CflCheck:
@@ -118,7 +114,7 @@ def check_cfl(tau: float, lgrid: LGrid, G: Callable) -> CflCheck:
     The growth rate must be nonnegative everywhere; where it is zero the
     transport is a no-op.
     """
-    vals = _sample_growth(lgrid, G)
+    vals = _growth_at(G, np.linspace(lgrid.l_min, lgrid.l_max, CFL_SAMPLES + 1))
     bad = vals < 0.0
     if np.any(bad):
         raise ValueError(
@@ -132,36 +128,33 @@ def check_cfl(tau: float, lgrid: LGrid, G: Callable) -> CflCheck:
     return CflCheck(passed=passed, tau=tau, iota=iota, max_growth=max_growth, ratio=ratio)
 
 
-@dataclass(frozen=True)
-class Backtrace:
-    """Characteristic foot and interpolation weight for one internal node."""
+def foot_weights(tau: float, lgrid: LGrid, G: Callable) -> np.ndarray:
+    """The (M+1,) foot weights alpha_m = (l_m - foot_m)/iota, foot_m = l_m - tau*G(l_m),
+    with alpha_0 = 0 at the inflow node, which has no foot.
 
-    m: int
-    foot: float
-    alpha: float
-
-
-def backtrace(m: int, tau: float, lgrid: LGrid, G: Callable) -> Backtrace:
-    """Trace node l_m back one step: foot = l_m - tau*G(l_m), weight = (l_m - foot)/iota."""
-    if not 1 <= m <= lgrid.M:
-        raise ValueError(f"internal index must lie in 1..{lgrid.M}, got {m}")
-    l_m = float(lgrid.nodes[m])
-    growth = float(np.asarray(G(l_m), dtype=float))
-    foot = l_m - tau * growth
-    left = float(lgrid.nodes[m - 1])
-    if foot < left - FOOT_TOL:
-        raise CflViolationError(
-            f"characteristic foot {foot:.17g} of slice m={m} falls below the "
-            f"neighbouring node {left:.17g}; the stability bound was bypassed"
-        )
-    if foot > l_m + FOOT_TOL:
+    Raises CflViolationError at the first node whose foot is not finite or
+    leaves the cell to its left.
+    """
+    nodes = lgrid.nodes
+    feet = nodes[1:] - tau * _growth_at(G, nodes[1:])
+    below = ~(feet >= nodes[:-1] - FOOT_TOL)  # NaN fails this test, not the reverse one
+    right = feet > nodes[1:] + FOOT_TOL
+    bad = np.flatnonzero(below | right)
+    if bad.size:
+        i = int(bad[0])
+        m, foot = i + 1, float(feet[i])
+        if below[i]:
+            raise CflViolationError(
+                f"characteristic foot {foot:.17g} of slice m={m} falls below the "
+                f"neighbouring node {float(nodes[i]):.17g}; the stability bound was bypassed"
+            )
         raise CflViolationError(
             f"characteristic foot {foot:.17g} of slice m={m} lies right of its "
-            f"node {l_m:.17g}; negative growth rate is not supported"
+            f"node {float(nodes[m]):.17g}; negative growth rate is not supported"
         )
-    alpha = (l_m - foot) / lgrid.iota
-    alpha = min(max(alpha, 0.0), 1.0)
-    return Backtrace(m=m, foot=foot, alpha=alpha)
+    alphas = np.zeros(lgrid.M + 1)
+    alphas[1:] = np.clip((nodes[1:] - feet) / lgrid.iota, 0.0, 1.0)
+    return alphas
 
 
 def combine_backtraced(prev_left: FieldSlice, prev_same: FieldSlice, alpha: float) -> FieldSlice:

@@ -53,6 +53,10 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _count_list(text: str) -> tuple[int, ...]:
+    return tuple(_count(v) for v in text.split(",") if v.strip())
+
+
 def _mesh_levels(text: str) -> tuple[float, ...]:
     """Exponents k1,k2,... as the mesh sizes 2^-k."""
     return tuple(2.0 ** -int(k) for k in text.split(","))
@@ -70,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iota", type=float, help="internal-coordinate spacing")
     p.add_argument("--levels", type=_mesh_levels, help="comma-separated exponents k meaning h = 2^-k")
     p.add_argument("--coupling", choices=["h2", "h3", "equal"], help="rule for (tau, iota) from h")
-    p.add_argument("--workers", type=_int_list, help="worker count, or comma list for scaling")
+    p.add_argument("--workers", type=_count_list, help="worker count, or comma list for scaling")
     p.add_argument("--T", type=float, help="final time of single and convergence runs (default 1)")
     p.add_argument("--out", help="file for the printed table (single runs: snapshot directory)")
     p.add_argument("--config", help="key = value file supplying defaults for any flag")

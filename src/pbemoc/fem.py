@@ -5,7 +5,9 @@ Operators are assembled element-wise with quadrature that is exact for the
 polynomial integrands (degree 2k for the bilinear forms) and one order above
 the generic data terms (degree 2k+2 for loads, projections, and norms).  A
 run's operators come from one quadrature per degree, built for that run and
-dropped after it (_run_operators).  A projector can project a family of data
+dropped after it (_run_operators): one LoadAssembler holds both the value
+and the gradient loads, and the projector is built on the unit stiffness and
+that assembler.  A projector can project a family of data
 g(p, x, y) for many parameters p with one evaluation per group of them, and
 still gives each member the bytes of its own projection.
 Matrices are CSR; the direct solver is a sparse LU factorization, which makes
@@ -35,7 +37,6 @@ __all__ = [
     "apply_dirichlet",
     "make_solver",
     "LoadAssembler",
-    "GradientLoadAssembler",
     "RitzProjector",
     "ErrorEvaluator",
 ]
@@ -222,27 +223,22 @@ def _point_scatter(mesh: SpatialMesh, qd: _QuadData):
     return scatter
 
 
-def _from_parts(cls, *args):
-    """An instance of cls set up by cls._setup(*args) instead of its
-    constructor, from parts (quadrature data, matrices) that the caller
-    shares between several objects."""
-    obj = cls.__new__(cls)
-    obj._setup(*args)
-    return obj
-
-
 class LoadAssembler:
-    """Reusable evaluator of load vectors integral of g phi_i for scalar fields g.
+    """Reusable evaluator of the load vectors integral of g phi_i, for scalar
+    fields g, and integral of grad g . grad phi_i, for fields with known gradient.
 
-    The quadrature scatter is precomputed once, so repeated assemblies reduce
-    to one vectorized evaluation of g plus a sparse matrix-vector product.
+    The quadrature scatters are precomputed once, from one quadrature that the
+    assembler does not keep, so repeated assemblies reduce to one vectorized
+    evaluation of g (or grad g) plus sparse matrix-vector products.
     """
 
     def __init__(self, mesh: SpatialMesh, basis: BasisSet):
-        self._setup(mesh, _data_quad(mesh, basis))
-
-    def _setup(self, mesh: SpatialMesh, qd: _QuadData) -> None:
-        self._matrix = _point_scatter(mesh, qd)(qd.wdet[:, None, :] * qd.vals[None, :, :])
+        qd = _data_quad(mesh, basis)
+        scatter = _point_scatter(mesh, qd)
+        self._matrix = scatter(qd.wdet[:, None, :] * qd.vals[None, :, :])
+        # weighted physical gradients, one (ne, nl, nq) component at a time
+        self._mx = scatter(qd.wdet[:, None, :] * qd.grads[..., 0])
+        self._my = scatter(qd.wdet[:, None, :] * qd.grads[..., 1])
         self.x, self.y = qd.points
 
     def assemble(self, g: Callable) -> np.ndarray:
@@ -251,21 +247,7 @@ class LoadAssembler:
     def assemble_values(self, values: np.ndarray) -> np.ndarray:
         return self._matrix @ np.asarray(values, dtype=float).ravel()
 
-
-class GradientLoadAssembler:
-    """Reusable evaluator of integral of grad g . grad phi_i for fields with known gradient."""
-
-    def __init__(self, mesh: SpatialMesh, basis: BasisSet):
-        self._setup(mesh, _data_quad(mesh, basis))
-
-    def _setup(self, mesh: SpatialMesh, qd: _QuadData) -> None:
-        scatter = _point_scatter(mesh, qd)
-        # weighted physical gradients, one (ne, nl, nq) component at a time
-        self._mx = scatter(qd.wdet[:, None, :] * qd.grads[..., 0])
-        self._my = scatter(qd.wdet[:, None, :] * qd.grads[..., 1])
-        self.x, self.y = qd.points
-
-    def assemble(self, g_grad: Callable) -> np.ndarray:
+    def assemble_gradient(self, g_grad: Callable) -> np.ndarray:
         gx, gy = g_grad(self.x, self.y)
         gx = np.asarray(gx, dtype=float).ravel()
         gy = np.asarray(gy, dtype=float).ravel()
@@ -395,22 +377,20 @@ class RitzProjector:
 
     project(g, g_grad) returns the coefficients of the FE function whose
     gradient matches grad g against every test function; g must vanish on the
-    domain boundary (checked at boundary nodes).
+    domain boundary (checked at boundary nodes).  stiffness is the unit
+    diffusion matrix before elimination; loads assembles the gradient loads.
     """
 
-    def __init__(self, mesh: SpatialMesh, basis: BasisSet, solver_config: SolverConfig | None = None):
-        self._setup(mesh, assemble_stiffness(mesh, basis, 1.0), GradientLoadAssembler(mesh, basis), solver_config)
-
-    def _setup(
+    def __init__(
         self,
         mesh: SpatialMesh,
         stiffness: sp.csr_matrix,
-        grad_asm: GradientLoadAssembler,
-        solver_config: SolverConfig | None,
-    ) -> None:
+        loads: LoadAssembler,
+        solver_config: SolverConfig | None = None,
+    ):
         self.matrix = apply_dirichlet(stiffness, mesh.boundary_mask)
         self._solver = make_solver(self.matrix, solver_config)
-        self._grad_asm = grad_asm
+        self._loads = loads
         self._bx = mesh.nodes[mesh.boundary_mask, 0]
         self._by = mesh.nodes[mesh.boundary_mask, 1]
         self._interior = ~mesh.boundary_mask
@@ -421,7 +401,7 @@ class RitzProjector:
             raise ValueError(
                 f"projected data must vanish on the boundary; found trace {trace:.3e}"
             )
-        rhs = self._grad_asm.assemble(g_grad)
+        rhs = self._loads.assemble_gradient(g_grad)
         rhs = np.where(self._interior, rhs, 0.0)
         return self._solver.solve(rhs)
 
@@ -434,13 +414,13 @@ class RitzProjector:
         A group holds about one solver panel of gradient values.  Each row
         then goes through project, so it gets the bytes project gives it.
         """
-        asm = self._grad_asm
-        nq = asm.x.size
+        loads = self._loads
+        nq = loads.x.size
         group = max(1, PANEL * self.matrix.shape[0] // nq)
         for s in range(0, len(params), group):
             p = np.asarray(params[s : s + group], dtype=float)[:, None]
             trace = _family_rows(g(p, self._bx, self._by), p.size, self._bx.size)
-            gx, gy = (_family_rows(c, p.size, nq) for c in g_grad(p, asm.x, asm.y))
+            gx, gy = (_family_rows(c, p.size, nq) for c in g_grad(p, loads.x, loads.y))
             for i in range(p.size):
                 out[s + i] = self.project(lambda x, y, i=i: trace[i], lambda x, y, i=i: (gx[i], gy[i]))
 
@@ -465,9 +445,10 @@ def _run_operators(mesh: SpatialMesh, basis: BasisSet, epsilon: float, b, solver
     The unit stiffness is assembled once, for the projector and, scaled by
     epsilon element by element, for the diffusion term, so every matrix has
     the bytes of its assemble_* function.  Each quadrature is dropped before
-    the next one is built, and none outlives the call.  This is for memory,
-    not time: against the public constructors, which build six quadratures,
-    it lowers a benchmark run's peak RSS by 0.2-1.6 MB.
+    the next one is built (the data quadrature lives only in LoadAssembler's
+    constructor), and none outlives the call.  This is for memory, not time:
+    against one quadrature per matrix and assembler, six in all, it lowers a
+    benchmark run's peak RSS by 0.2-1.6 MB.
     """
     form = _form_quad(mesh, basis)
     unit = _stiffness_local(form)
@@ -475,11 +456,8 @@ def _run_operators(mesh: SpatialMesh, basis: BasisSet, epsilon: float, b, solver
     stiffness = _scatter(mesh, epsilon * unit)
     convection = _scatter(mesh, _convection_local(form, b))
     del form
-    data = _data_quad(mesh, basis)
-    load = _from_parts(LoadAssembler, mesh, data)
-    grad_asm = _from_parts(GradientLoadAssembler, mesh, data)
-    del data
-    projector = _from_parts(RitzProjector, mesh, _scatter(mesh, unit), grad_asm, solver_config)
+    load = LoadAssembler(mesh, basis)
+    projector = RitzProjector(mesh, _scatter(mesh, unit), load, solver_config)
     return mass, stiffness, convection, projector, load
 
 

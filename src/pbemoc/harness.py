@@ -34,7 +34,6 @@ __all__ = [
     "MMSProblem",
     "StudyConfig",
     "ConvergenceRow",
-    "ScalingRow",
     "mms_problem",
     "run_single",
     "convergence_study",
@@ -217,7 +216,7 @@ def _cell_count(problem: MMSProblem, iota: float) -> int:
     return _step_count(span, iota, "iota", "the internal interval of length")
 
 
-def _grids_for(problem: MMSProblem, h: float, tau: float, iota: float, T: float):
+def _grids_for(problem: MMSProblem, tau: float, iota: float, T: float):
     M = _cell_count(problem, iota)
     N = _step_count(T, tau, "tau", "the final time")
     return problem.lgrid(M), TimeGrid(T, N)
@@ -237,16 +236,17 @@ def run_single(
 ) -> tuple[float, float]:
     """One run at fixed parameters; returns the worst-slice (L2, H1) errors at t=T.
 
-    Snapshots are written by the sequential run only, into snapshot_dir,
-    which is created if missing.
+    Without workers or with one, the run is sequential; any other count goes
+    to run_pipeline, which rejects counts below 1.  Snapshots are written by
+    the sequential run only, into snapshot_dir, which is created if missing.
     """
-    pipelined = workers is not None and workers > 1
+    pipelined = workers not in (None, 1)
     if pipelined and snapshot_steps:
         raise ValueError("snapshots are written by sequential runs only; drop them or run one worker")
     if snapshot_steps and snapshot_dir is not None:
         os.makedirs(snapshot_dir, exist_ok=True)
     T = problem.T if T is None else T
-    lgrid, tgrid = _grids_for(problem, h, tau, iota, T)
+    lgrid, tgrid = _grids_for(problem, tau, iota, T)
     mesh = build_structured_mesh(problem.domain, h, order)
     basis = reference_basis(order)
     if pipelined:
@@ -270,7 +270,7 @@ def _precheck_cfl(problem: MMSProblem, levels, coupling: str, T: float) -> None:
     """Build every level's grids and check its stability bound before any level runs."""
     rule = COUPLINGS[coupling]
     for h in levels:
-        lgrid, tgrid = _grids_for(problem, h, *rule(h), T)
+        lgrid, tgrid = _grids_for(problem, *rule(h), T)
         report = check_cfl(tgrid.tau, lgrid, problem.G)
         if not report.passed:
             raise CflViolationError(f"level h={h}: {report.describe()}")

@@ -4,8 +4,10 @@ Each time step advances every internal-coordinate slice independently: the
 previous-level slices at m-1 and m are blended with the characteristic
 weight, multiplied by the mass matrix, augmented with the source load, and
 solved against the fixed system matrix M/tau + diffusion + convection.  The
-system matrix does not depend on (n, m) because the growth rate depends only
-on the internal coordinate, so it is assembled and factorized once.
+system matrix does not depend on (n, m), nor the weights on n, because the
+growth rate depends only on the internal coordinate: the matrix is assembled
+and factorized once, and the weights of all nodes are one table
+(characteristics.foot_weights).
 
 Initial slices and the slices at the inflow end of the internal interval are
 gradient projections of the prescribed data.  Level 0 evaluates the initial
@@ -17,7 +19,8 @@ held as a (rows, num_dofs) float64 array.  The sequential loop calls it once
 per level on slices 1..M, each pipeline worker once per level on its own
 block, and step_slice on a block of one slice.  Within a block, slices are
 processed in chunks of one solver panel (fem.PANEL slices): the blend, the
-mass product and the solve are one call each per chunk.  A SeparableSource,
+mass product and the solve are one call each per chunk, in chunk buffers
+that Operators allocates once per run.  A SeparableSource,
 c(t) sum_j a_j(l) s_j(x, y), has its field loads L_j = integral of s_j phi_i
 assembled and its factors a_j(l_m) tabulated once per run, so a slice's load
 is the sum of the scaled vectors (c(t) a_j(l_m)) L_j; any other source is
@@ -40,8 +43,8 @@ from .characteristics import (
     CflViolationError,
     LGrid,
     TimeGrid,
-    backtrace,
     check_cfl,
+    foot_weights,
 )
 from .fem import (
     PANEL,
@@ -187,10 +190,11 @@ class Operators:
             )
         self.boundary_idx = np.flatnonzero(mesh.boundary_mask)
         # the foot weights are time-independent because G does not depend on t
-        self.alphas = np.zeros(lgrid.M + 1)
-        for m in range(1, lgrid.M + 1):
-            self.alphas[m] = backtrace(m, tau, lgrid, spec.G).alpha
-        self._work = _Workspace(self)
+        self.alphas = foot_weights(tau, lgrid, spec.G)
+        self.beta = 1.0 - self.alphas  # weight of the same-index slice
+        # chunk buffers of advance_block: the blend, mass-product and
+        # right-hand-side rows of one chunk of PANEL slices
+        self._blend, self._same, self._rhs = np.empty((3, self.mass.shape[0] * PANEL))
 
     def solve_system(self, rhs: np.ndarray) -> np.ndarray:
         """Solve a (k, num_dofs) block of right-hand sides, one per row.
@@ -278,15 +282,6 @@ def boundary_slice(
     return FieldSlice(_project_boundary(operators.projector, spec, n * tgrid.tau), n=n, m=0)
 
 
-class _Workspace:
-    """Chunk buffers of advance_block, allocated once per Operators: the blend,
-    mass-product and right-hand-side rows of one chunk of PANEL slices."""
-
-    def __init__(self, ops: Operators):
-        self.blend, self.same, self.rhs = np.empty((3, ops.mass.shape[0] * PANEL))
-        self.beta = 1.0 - ops.alphas  # weight of the same-index slice
-
-
 def advance_block(
     ops: Operators,
     n: int,
@@ -307,7 +302,6 @@ def advance_block(
     fixed width, so every row gets the same bytes in any block.
     Raises SolveFailure at the first slice with a non-finite value.
     """
-    work = ops._work
     spec, load, alphas = ops.spec, ops.load, ops.alphas
     ndofs = prev.shape[1]
     t = n * ops.tau
@@ -316,16 +310,16 @@ def advance_block(
         k = min(PANEL, prev.shape[0] - c)
         m = m0 + c
         # characteristic blend; column i holds slice m+i
-        z = work.blend[: ndofs * k].reshape(ndofs, k)
-        same = work.same[: ndofs * k].reshape(ndofs, k)
+        z = ops._blend[: ndofs * k].reshape(ndofs, k)
+        same = ops._same[: ndofs * k].reshape(ndofs, k)
         if c == 0:
             np.multiply(left_row, alphas[m], out=z[:, 0])
             np.multiply(prev[: k - 1].T, alphas[m + 1 : m + k], out=z[:, 1:])
         else:
             np.multiply(prev[c - 1 : c + k - 1].T, alphas[m : m + k], out=z)
-        np.multiply(prev[c : c + k].T, work.beta[m : m + k], out=same)
+        np.multiply(prev[c : c + k].T, ops.beta[m : m + k], out=same)
         np.add(z, same, out=z)
-        rhs = work.rhs[: ndofs * k].reshape(k, ndofs)
+        rhs = ops._rhs[: ndofs * k].reshape(k, ndofs)
         np.multiply((ops.mass @ z).T, inv_tau, out=rhs)
         if ops.source_loads is None:
             for i in range(k):
@@ -334,7 +328,7 @@ def advance_block(
         else:
             # row i gains (c(t) a_j(l_{m+i})) L_j; the blend is done with same
             c_t = spec.f.time_factor(t)
-            term = work.same[: ndofs * k].reshape(k, ndofs)
+            term = ops._same[: ndofs * k].reshape(k, ndofs)
             for a, field_load in zip(ops.source_factors, ops.source_loads):
                 np.multiply((c_t * a[m : m + k])[:, None], field_load, out=term)
                 rhs += term

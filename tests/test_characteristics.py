@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from pbemoc.characteristics import (
-    Backtrace,
     CflViolationError,
     LGrid,
     TimeGrid,
-    backtrace,
     check_cfl,
     combine_backtraced,
+    foot_weights,
 )
 from pbemoc.fem import FieldSlice
+from pbemoc.harness import mms_problem
 
 
 def quad_growth(l):
@@ -87,67 +87,103 @@ def test_cfl_rejects_nonpositive_growth():
 
 
 # ---------------------------------------------------------------------------
-# backtrace
+# foot weights
+
+
+def feet(alphas, g):
+    """Characteristic feet l_m - alpha_m*iota of nodes 1..M."""
+    return g.nodes[1:] - alphas[1:] * g.iota
 
 
 def test_backtrace_zero_growth():
     g = LGrid(0.0, 1.0, 8)
-    bt = backtrace(3, 0.05, g, lambda l: 0.0)
-    assert bt.foot == g.nodes[3]
-    assert bt.alpha == 0.0
+    alphas = foot_weights(0.05, g, lambda l: 0.0)
+    assert alphas.shape == (g.M + 1,)
+    assert np.all(alphas == 0.0)
+    assert np.all(feet(alphas, g) == g.nodes[1:])
 
 
 def test_backtrace_at_cfl_limit():
     g = LGrid(0.0, 1.0, 512)
     tau = 1.0 / 512.0
-    bt = backtrace(256, tau, g, quad_growth)  # l = 0.5 where growth is exactly 1
-    assert bt.foot == pytest.approx(0.5 - 1.0 / 512.0, abs=1e-16)
-    assert bt.alpha == pytest.approx(1.0, abs=1e-12)
+    alphas = foot_weights(tau, g, quad_growth)
+    assert alphas[0] == 0.0
+    # l = 0.5 where growth is exactly 1
+    assert feet(alphas, g)[255] == pytest.approx(0.5 - 1.0 / 512.0, abs=1e-16)
+    assert alphas[256] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_backtrace_half_weight():
     g = LGrid(0.0, 1.0, 8)
-    bt = backtrace(2, g.iota, g, lambda l: 0.5)
-    assert bt.alpha == pytest.approx(0.5, abs=1e-15)
-    assert g.nodes[1] <= bt.foot <= g.nodes[2]
+    alphas = foot_weights(g.iota, g, lambda l: 0.5)
+    assert alphas[2] == pytest.approx(0.5, abs=1e-15)
+    assert g.nodes[1] <= feet(alphas, g)[1] <= g.nodes[2]
 
 
 def test_backtrace_rejects_bypassed_cfl():
     g = LGrid(0.0, 1.0, 8)
-    with pytest.raises(CflViolationError, match="m=2"):
-        backtrace(2, 1.0, g, lambda l: 1.0)
+    with pytest.raises(CflViolationError, match="m=1 falls below"):
+        foot_weights(1.0, g, lambda l: 1.0)
+    # the first failing node is named, whichever check it fails
+    growth = lambda l: np.where(l > 0.3, 1.0, 0.0)  # nodes 3.. fail
+    with pytest.raises(CflViolationError, match="m=3 falls below"):
+        foot_weights(1.0, g, growth)
 
 
 def test_backtrace_rejects_negative_growth():
     g = LGrid(0.0, 1.0, 8)
-    with pytest.raises(CflViolationError, match="negative"):
-        backtrace(2, 0.1, g, lambda l: -1.0)
+    with pytest.raises(CflViolationError, match="m=1 lies right of its node .*negative"):
+        foot_weights(0.1, g, lambda l: -1.0)
+    # node 2 lies right of its foot before node 3 falls below its neighbour
+    growth = lambda l: np.select([l == 0.25, l > 0.3], [-1.0, 10.0], 0.0)
+    with pytest.raises(CflViolationError, match="m=2 .*negative"):
+        foot_weights(0.1, g, growth)
 
 
-def test_backtrace_index_bounds():
+def test_a_nan_foot_fails():
     g = LGrid(0.0, 1.0, 8)
-    for m in (0, 9):
-        with pytest.raises(ValueError):
-            backtrace(m, 0.01, g, lambda l: 1.0)
+    growth = lambda l: np.where(l == 0.5, np.nan, 0.5)
+    with pytest.raises(CflViolationError, match="foot nan of slice m=4"):
+        foot_weights(0.01, g, growth)
 
 
 def test_alpha_in_unit_interval_under_cfl():
     g = LGrid(0.0, 1.0, 64)
     tau = g.iota  # max growth is 1 so this is the tight step
     assert check_cfl(tau, g, quad_growth).passed
-    for m in range(1, g.M + 1):
-        bt = backtrace(m, tau, g, quad_growth)
-        assert 0.0 <= bt.alpha <= 1.0
-        assert g.nodes[m - 1] - 1e-14 <= bt.foot <= g.nodes[m]
+    alphas = foot_weights(tau, g, quad_growth)
+    assert alphas[0] == 0.0
+    assert np.all((0.0 <= alphas) & (alphas <= 1.0))
+    foot = feet(alphas, g)
+    assert np.all((g.nodes[:-1] - 1e-14 <= foot) & (foot <= g.nodes[1:]))
 
 
 def test_alpha_linear_in_tau():
     g = LGrid(0.0, 1.0, 64)
     tau = g.iota / 2.0
-    for m in (1, 17, 40):
-        a1 = backtrace(m, tau, g, quad_growth).alpha
-        a2 = backtrace(m, 2.0 * tau, g, quad_growth).alpha
-        assert a2 == pytest.approx(2.0 * a1, rel=1e-13)
+    a1 = foot_weights(tau, g, quad_growth)
+    a2 = foot_weights(2.0 * tau, g, quad_growth)
+    np.testing.assert_allclose(a2[1:], 2.0 * a1[1:], rtol=1e-13, atol=0.0)
+
+
+def per_node_weights(tau, g, G):
+    """alpha_m node by node, with scalar arithmetic on a scalar l_m."""
+    alphas = [0.0]
+    for m in range(1, g.M + 1):
+        l_m = float(g.nodes[m])
+        foot = l_m - tau * float(np.asarray(G(l_m), dtype=float))
+        alphas.append(min(max((l_m - foot) / g.iota, 0.0), 1.0))
+    return np.array(alphas)
+
+
+@pytest.mark.parametrize("M", [37, 64, 512])
+@pytest.mark.parametrize("growth", ["mms", "python scalar"])
+def test_foot_weights_are_bitwise_the_per_node_formula(M, growth):
+    G = mms_problem().G if growth == "mms" else (lambda l: 0.75)
+    g = LGrid(0.0, 1.0, M)
+    tau = g.iota / check_cfl(g.iota, g, G).max_growth
+    got = foot_weights(tau, g, G)
+    assert got.tobytes() == per_node_weights(tau, g, G).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,23 @@ def test_a_count_below_one_is_a_usage_error_naming_the_flag(capsys, flag):
 @pytest.mark.parametrize(
     "args",
     [
+        ["--study", "single", "--h", "0.5", "--tau", "0.25", "--iota", "0.25", "--workers=-2"],
+        ["--study", "single", "--h", "0.5", "--tau", "0.25", "--iota", "0.25", "--workers", "0"],
+        ["--study", "convergence", "--levels", "1", "--workers=-1"],
+        ["--study", "scaling", "--h", "0.5", "--steps", "1", "--workers", "1,0"],
+    ],
+    ids=["single-negative", "single-zero", "convergence", "scaling"],
+)
+def test_a_worker_count_below_one_is_a_usage_error_naming_the_flag(capsys, args):
+    assert cli_main(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "argument --workers: must be >= 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ["--study", "single", "--h", "0.5", "--tau", "0.25", "--iota", "0.25", "--workers", "2,3"],
         ["--study", "convergence", "--levels", "1,2", "--workers", "1,2"],
         ["--study", "characteristics", "--levels", "1,2", "--workers", "1,2"],

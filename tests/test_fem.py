@@ -7,7 +7,6 @@ from pbemoc import fem
 from pbemoc.fem import (
     ErrorEvaluator,
     FieldSlice,
-    GradientLoadAssembler,
     LoadAssembler,
     RitzProjector,
     SolveFailure,
@@ -387,6 +386,11 @@ def test_iterative_solver_rejects_a_singular_matrix_at_construction():
 # Ritz projection
 
 
+def ritz_p1(mesh):
+    """The gradient projector of P1 elements on mesh."""
+    return RitzProjector(mesh, assemble_stiffness(mesh, P1), LoadAssembler(mesh, P1))
+
+
 def sin_field():
     g = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     grad = lambda x, y: (
@@ -416,13 +420,13 @@ def test_ritz_projection_of_zero():
     mesh = build_structured_mesh(UNIT_SQUARE, 0.25, 1)
     zero = lambda x, y: np.zeros_like(x)
     zgrad = lambda x, y: (np.zeros_like(x), np.zeros_like(x))
-    assert np.abs(RitzProjector(mesh, P1).project(zero, zgrad)).max() == 0.0
+    assert np.abs(ritz_p1(mesh).project(zero, zgrad)).max() == 0.0
 
 
 def test_ritz_projection_matches_dense_oracle():
     mesh = build_structured_mesh(UNIT_SQUARE, 0.125, 1)
     g, grad = sin_field()
-    got = RitzProjector(mesh, P1).project(g, grad)
+    got = ritz_p1(mesh).project(g, grad)
 
     rule = quadrature_rule(2 * P1.order + 2)
     Ad = oracles.dense_operator(mesh, quadrature_rule(2), "stiffness")
@@ -435,8 +439,8 @@ def test_ritz_projection_matches_dense_oracle():
 def test_ritz_projection_galerkin_orthogonality():
     mesh = build_structured_mesh(UNIT_SQUARE, 0.25, 1)
     g, grad = sin_field()
-    v = RitzProjector(mesh, P1).project(g, grad)
-    residual = assemble_stiffness(mesh, P1) @ v - GradientLoadAssembler(mesh, P1).assemble(grad)
+    v = ritz_p1(mesh).project(g, grad)
+    residual = assemble_stiffness(mesh, P1) @ v - LoadAssembler(mesh, P1).assemble_gradient(grad)
     assert np.abs(residual[~mesh.boundary_mask]).max() <= 1e-10
 
 
@@ -448,7 +452,7 @@ def test_ritz_projection_rejects_nonzero_trace():
         -np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
     )
     with pytest.raises(ValueError, match="vanish"):
-        RitzProjector(mesh, P1).project(g, grad)
+        ritz_p1(mesh).project(g, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -497,4 +501,4 @@ def test_ritz_projection_rejects_nan_trace():
     g, grad = sin_field()
     g_nan = lambda x, y: np.where(np.isclose(x, 0.0), np.nan, g(x, y))
     with pytest.raises(ValueError, match="vanish"):
-        RitzProjector(mesh, P1).project(g_nan, grad)
+        ritz_p1(mesh).project(g_nan, grad)

@@ -12,7 +12,6 @@ from pbemoc.characteristics import CflViolationError
 from pbemoc.harness import (
     COUPLINGS,
     ConvergenceRow,
-    ScalingRow,
     StudyConfig,
     characteristics_study,
     convergence_study,
@@ -22,6 +21,7 @@ from pbemoc.harness import (
     run_single,
     scaling_study,
 )
+from pbemoc.pipeline import ScalingRow
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +235,15 @@ def test_convergence_study_runs_to_the_configured_final_time(mms):
     default = convergence_study(StudyConfig(element_order=1, levels=(0.5,), coupling="equal"))[0]
     assert (default.l2_error, default.h1_error) == run_single(mms, 0.5, 0.5, 0.5, T=mms.T)
     assert default.l2_error != row.l2_error
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_a_worker_count_below_one_is_rejected_not_run_sequentially(mms, workers):
+    with pytest.raises(ValueError, match=f"worker count must be >= 1, got {workers}"):
+        run_single(mms, 0.5, 0.25, 0.25, workers=workers)
+    config = StudyConfig(levels=(0.5,), workers=(workers,))
+    with pytest.raises(ValueError, match=f"worker count must be >= 1, got {workers}"):
+        convergence_study(config, mms)
 
 
 def test_pipelined_run_rejects_snapshots_before_running(mms, tmp_path):
