@@ -43,14 +43,23 @@ EXIT_SOLVER = 4
 EXIT_CONFIG = 5
 
 
+def _int(text: str) -> int:
+    """An integer, or a usage error that argparse reports under the flag's name."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+    return tuple(_int(v) for v in text.split(",") if v.strip())
 
 
 def _count(text: str) -> int:
-    if int(text) < 1:
+    value = _int(text)
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return int(text)
+    return value
 
 
 def _count_list(text: str) -> tuple[int, ...]:
@@ -59,7 +68,7 @@ def _count_list(text: str) -> tuple[int, ...]:
 
 def _mesh_levels(text: str) -> tuple[float, ...]:
     """Exponents k1,k2,... as the mesh sizes 2^-k."""
-    return tuple(2.0 ** -int(k) for k in text.split(","))
+    return tuple(2.0 ** -_int(k) for k in text.split(","))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -181,7 +190,8 @@ def _dispatch(args) -> int:
             snapshot_steps=snapshots,
             snapshot_dir=snapshot_dir,
         )
-        mode = f"{workers} pipelined workers" if workers else "sequential"
+        # run_single's rule: a count of 1 runs sequentially
+        mode = f"{workers} pipelined workers" if workers not in (None, 1) else "sequential"
         print(f"single run ({mode}): h={args.h:g} tau={args.tau:g} iota={args.iota:g}")
         print(f"  worst-slice L2 error: {l2:.6E}")
         print(f"  worst-slice H1 error: {h1:.6E}")

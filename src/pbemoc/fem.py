@@ -293,21 +293,28 @@ class _DirectSolver:
     def solve_rows(self, block: np.ndarray) -> np.ndarray:
         """Solve each row of a (k, n) block, PANEL rows per SuperLU call.
 
-        A last partial panel is padded with zero rows, so SuperLU only ever
-        sees PANEL right-hand sides.
+        The block may have any layout, a transposed (n, k) array included.
+        A block of exactly one panel is returned as the rows of SuperLU's own
+        result, without a copy.
         """
-        block = np.ascontiguousarray(block, dtype=float)
-        out = np.empty_like(block)
-        full = block.shape[0] - block.shape[0] % PANEL
-        # a row panel transposed is an F-ordered (n, PANEL) array, as SuperLU takes it
-        for i in range(0, full, PANEL):
-            out[i : i + PANEL] = self._lu.solve(block[i : i + PANEL].T).T
-        rest = block.shape[0] - full
-        if rest:  # a pad per partial panel, so no solver keeps one
-            pad = np.zeros((PANEL, block.shape[1]))
-            pad[:rest] = block[full:]
-            out[full:] = self._lu.solve(pad.T)[:, :rest].T
+        block = np.asarray(block, dtype=float)
+        if 0 < block.shape[0] <= PANEL:
+            return self._solve_panel(block)
+        out = np.empty(block.shape)
+        for i in range(0, block.shape[0], PANEL):
+            out[i : i + PANEL] = self._solve_panel(block[i : i + PANEL])
         return out
+
+    def _solve_panel(self, rows: np.ndarray) -> np.ndarray:
+        """Solve up to PANEL rows in one SuperLU call of exactly PANEL
+        right-hand sides, a short panel padded with zero rows."""
+        k = rows.shape[0]
+        if k == PANEL:  # SuperLU solves an F-ordered (n, PANEL) copy in place
+            return self._lu.solve(rows.T).T
+        pad = np.zeros((PANEL, rows.shape[1]))  # a pad per call, so no solver keeps one
+        pad[:k] = rows
+        # copied out, so the caller does not keep the padded result alive
+        return self._lu.solve(pad.T)[:, :k].T.copy()
 
 
 class _IterativeSolver:
@@ -329,8 +336,10 @@ class _IterativeSolver:
         self._precond = spla.LinearOperator((n, n), ilu.solve)
 
     def solve_rows(self, block: np.ndarray) -> np.ndarray:
-        """Solve each row of a (k, n) block on its own."""
-        out = np.empty_like(block, dtype=float)
+        """Solve each row of a (k, n) block on its own, from a contiguous copy,
+        so a row's bytes do not depend on the block's layout."""
+        block = np.ascontiguousarray(block, dtype=float)
+        out = np.empty_like(block)
         for i, row in enumerate(block):
             out[i] = self.solve(row)
         return out
@@ -379,6 +388,10 @@ class RitzProjector:
     gradient matches grad g against every test function; g must vanish on the
     domain boundary (checked at boundary nodes).  stiffness is the unit
     diffusion matrix before elimination; loads assembles the gradient loads.
+    The projector keeps its last right-hand side and solution, and a
+    right-hand side equal to the last one bit for bit, such as that of a
+    time-independent inflow at every time level, gets a copy of that
+    solution without a solve.
     """
 
     def __init__(
@@ -394,6 +407,7 @@ class RitzProjector:
         self._bx = mesh.nodes[mesh.boundary_mask, 0]
         self._by = mesh.nodes[mesh.boundary_mask, 1]
         self._interior = ~mesh.boundary_mask
+        self._last_key = self._last_solution = None
 
     def project(self, g: Callable, g_grad: Callable) -> np.ndarray:
         trace = np.max(np.abs(np.asarray(g(self._bx, self._by), dtype=float)))
@@ -403,7 +417,10 @@ class RitzProjector:
             )
         rhs = self._loads.assemble_gradient(g_grad)
         rhs = np.where(self._interior, rhs, 0.0)
-        return self._solver.solve(rhs)
+        key = rhs.tobytes()  # bit for bit: -0.0 and 0.0 may solve to different bytes
+        if key != self._last_key:
+            self._last_key, self._last_solution = key, self._solver.solve(rhs)
+        return self._last_solution.copy()
 
     def _project_family(self, g: Callable, g_grad: Callable, params: np.ndarray, out: np.ndarray) -> None:
         """Fill out[i] with project(g(params[i], x, y), g_grad(params[i], x, y)).

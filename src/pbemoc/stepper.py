@@ -18,13 +18,22 @@ One kernel, advance_block, advances a contiguous block of slices of a level,
 held as a (rows, num_dofs) float64 array.  The sequential loop calls it once
 per level on slices 1..M, each pipeline worker once per level on its own
 block, and step_slice on a block of one slice.  Within a block, slices are
-processed in chunks of one solver panel (fem.PANEL slices): the blend, the
-mass product and the solve are one call each per chunk, in chunk buffers
-that Operators allocates once per run.  A SeparableSource,
-c(t) sum_j a_j(l) s_j(x, y), has its field loads L_j = integral of s_j phi_i
-assembled and its factors a_j(l_m) tabulated once per run, so a slice's load
-is the sum of the scaled vectors (c(t) a_j(l_m)) L_j; any other source is
-evaluated at the quadrature points and its load assembled once per slice.
+processed in chunks of one solver panel (fem.PANEL slices), one column per
+slice, in chunk buffers that Operators allocates once per run.  A
+SeparableSource, c(t) sum_j a_j(l) s_j(x, y), has its field loads
+L_j = integral of s_j phi_i assembled and its factors a_j(l_m) tabulated once
+per run, and the loads form one CSR step operator [M/tau | L_1 ... L_J] with
+the mass matrix scaled by 1/tau: one sparse product of it with the chunk's
+blends and coefficients c(t) a_j(l_m) gives the right-hand sides, the mass
+terms first and the loads after them in field order.  Any other source has
+the mass product scaled by 1/tau, and its load is evaluated at the
+quadrature points and assembled once per slice.
+
+Rounding: for tau = 2^-k, scaling the mass entries by 1/tau is exact, so a
+separable source's right-hand side is bit for bit (M z)(1/tau) plus the
+loads; for any other tau it may differ from that in the last bit, the same
+way in every block, chunk and worker.
+
 Every system solve has the same fixed width (fem.PANEL right-hand sides, a
 partial panel padded with zeros), so a slice's bytes do not depend on its
 block, chunk or worker.  A level with a non-finite value raises SolveFailure
@@ -38,6 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .characteristics import (
     CflViolationError,
@@ -153,8 +163,7 @@ class SolutionSurface:
 
 class Operators:
     """Assembled matrices, factorizations, the projector and load assembler,
-    the field loads of a separable source, and the chunk buffers of
-    advance_block, for one run.
+    the step operator and the chunk buffers of advance_block, for one run.
 
     Pipeline workers inherit the operators through fork; a worker's first
     write to a buffer gives it a copy of its own.
@@ -181,10 +190,13 @@ class Operators:
         self.system = (self.mass.multiply(1.0 / tau) + stiffness + convection).tocsr()
         self.system_bc = apply_dirichlet(self.system, mesh.boundary_mask)
         self._solver = make_solver(self.system_bc, solver_config)
-        # a separable source: the loads L_j of its fields, and a_j(l_m) as row j
-        self.source_loads = self.source_factors = None
+        # the step operator of advance_block: [M/tau | L_1 ... L_J] for a
+        # separable source, with a_j(l_m) as row j of source_factors; M for
+        # any other source, whose step scales the mass product by 1/tau
+        self.step, self.source_factors = self.mass, None
         if isinstance(spec.f, SeparableSource):
-            self.source_loads = [self.load.assemble(s) for s in spec.f.fields]
+            loads = np.stack([self.load.assemble(s) for s in spec.f.fields])
+            self.step = _step_operator(self.mass, 1.0 / tau, loads)
             self.source_factors = np.stack(
                 [np.broadcast_to(a(lgrid.nodes), lgrid.nodes.shape) for a in spec.f.l_factors]
             )
@@ -192,17 +204,46 @@ class Operators:
         # the foot weights are time-independent because G does not depend on t
         self.alphas = foot_weights(tau, lgrid, spec.G)
         self.beta = 1.0 - self.alphas  # weight of the same-index slice
-        # chunk buffers of advance_block: the blend, mass-product and
-        # right-hand-side rows of one chunk of PANEL slices
-        self._blend, self._same, self._rhs = np.empty((3, self.mass.shape[0] * PANEL))
+        # chunk buffers of advance_block, one column per slice of a chunk of
+        # PANEL slices: the operand of the step operator and the blend's
+        # same-index term
+        self._chunk = np.empty(self.step.shape[1] * PANEL)
+        self._same = np.empty(self.mass.shape[0] * PANEL)
 
     def solve_system(self, rhs: np.ndarray) -> np.ndarray:
         """Solve a (k, num_dofs) block of right-hand sides, one per row.
 
-        A 1-D rhs is a block of one, so it gets the bytes it gets in any block.
+        The block may be a transposed view of (num_dofs, k) columns, as
+        advance_block passes it.  A 1-D rhs is a block of one, so it gets the
+        bytes it gets in any block.
         """
         rhs = np.asarray(rhs, dtype=float)
         return self._solver.solve_rows(rhs.reshape(-1, rhs.shape[-1])).reshape(rhs.shape)
+
+
+def _step_operator(mass: sp.csr_matrix, inv_tau: float, loads: np.ndarray) -> sp.csr_matrix:
+    """The (num_dofs, num_dofs + J) CSR matrix [M (1/tau) | L_1 ... L_J] of
+    the J field loads, rows of loads.
+
+    Row i holds the mass entries of row i in their stored order, then
+    L_1[i] ... L_J[i], zeros kept.  Its product with a column whose first
+    num_dofs entries are a blend z and whose last J are c(t) a_j(l_m) is
+    therefore the sum of (M_ik / tau) z_k in the order of the mass product,
+    then of L_j[i] (c(t) a_j(l_m)) in field order: for tau = 2^-k exactly
+    (M z)(1/tau) + sum_j (c(t) a_j(l_m)) L_j, term by term.
+    """
+    ndofs, J = loads.shape[1], loads.shape[0]
+    indptr = mass.indptr + J * np.arange(ndofs + 1)
+    load_at = (indptr[1:, None] - J + np.arange(J)).ravel()  # the last J entries of each row
+    is_mass = np.ones(indptr[-1], dtype=bool)
+    is_mass[load_at] = False
+    indices = np.empty(indptr[-1], dtype=mass.indices.dtype)
+    data = np.empty(indptr[-1])
+    indices[is_mass] = mass.indices
+    data[is_mass] = mass.data * inv_tau
+    indices[load_at] = np.tile(ndofs + np.arange(J), ndofs)
+    data[load_at] = loads.T.ravel()
+    return sp.csr_matrix((data, indices, indptr), shape=(ndofs, ndofs + J))
 
 
 def precompute_operators(
@@ -237,13 +278,17 @@ def _project_boundary(projector: RitzProjector, spec: ProblemSpec, t: float) -> 
 def _initial_rows(projector: RitzProjector, spec: ProblemSpec, lgrid: LGrid, block: range) -> np.ndarray:
     """Level-0 values of the slices in block, one row each: the inflow data
     at m=0, the initial data elsewhere, evaluated for a group of slices per
-    call (RitzProjector._project_family) and projected slice by slice."""
+    call (RitzProjector._project_family) and projected slice by slice.
+
+    The inflow slice is projected last, so a time-independent inflow has the
+    projector's last right-hand side at every later level and is not solved
+    again."""
     rows = np.empty((len(block), projector.matrix.shape[0]))
-    if block.start == 0:
-        rows[0] = _project_boundary(projector, spec, 0.0)
     first = max(block.start, 1)
     interior = lgrid.nodes[first : block.stop]
     projector._project_family(spec.z_init, spec.z_init_grad, interior, rows[first - block.start :])
+    if block.start == 0:
+        rows[0] = _project_boundary(projector, spec, 0.0)
     return rows
 
 
@@ -294,23 +339,30 @@ def advance_block(
 
     prev holds the level-(n-1) slices m0..m0+k-1 as a (k, num_dofs) array and
     left_row the level-(n-1) slice m0-1; out has the shape of prev.  Rows are
-    processed in chunks of fem.PANEL rows: the blend, the mass product and the
-    solve are one call each per chunk.  A separable source adds
-    (c(t) a_j(l_m)) L_j to row m one field j at a time, elementwise, so a
-    row's load does not depend on the chunk; any other source is evaluated
-    and its load assembled once per slice.  The solver works on panels of a
-    fixed width, so every row gets the same bytes in any block.
+    processed in chunks of fem.PANEL rows, one column per slice: the blend is
+    written into the chunk buffer, a separable source's coefficients
+    c(t) a_j(l_m) below it, and one product with the step operator
+    [M/tau | L_1 ... L_J] gives the right-hand sides, which are solved straight
+    into out.  Any other source has its mass product scaled by 1/tau and its
+    load evaluated and assembled once per slice.  Each column's arithmetic
+    does not depend on the chunk, and the solver works on panels of a fixed
+    width, so every row gets the same bytes in any block.
     Raises SolveFailure at the first slice with a non-finite value.
     """
     spec, load, alphas = ops.spec, ops.load, ops.alphas
+    factors = ops.source_factors
     ndofs = prev.shape[1]
+    width = ops.step.shape[1]
     t = n * ops.tau
-    inv_tau = 1.0 / ops.tau
+    if factors is not None:
+        c_t = spec.f.time_factor(t)
     for c in range(0, prev.shape[0], PANEL):
         k = min(PANEL, prev.shape[0] - c)
         m = m0 + c
-        # characteristic blend; column i holds slice m+i
-        z = ops._blend[: ndofs * k].reshape(ndofs, k)
+        # column i is slice m+i: the characteristic blend in rows :ndofs, then
+        # c(t) a_j(l_{m+i}) in row ndofs+j
+        x = ops._chunk[: width * k].reshape(width, k)
+        z = x[:ndofs]
         same = ops._same[: ndofs * k].reshape(ndofs, k)
         if c == 0:
             np.multiply(left_row, alphas[m], out=z[:, 0])
@@ -319,30 +371,26 @@ def advance_block(
             np.multiply(prev[c - 1 : c + k - 1].T, alphas[m : m + k], out=z)
         np.multiply(prev[c : c + k].T, ops.beta[m : m + k], out=same)
         np.add(z, same, out=z)
-        rhs = ops._rhs[: ndofs * k].reshape(k, ndofs)
-        np.multiply((ops.mass @ z).T, inv_tau, out=rhs)
-        if ops.source_loads is None:
+        if factors is not None:
+            np.multiply(c_t, factors[:, m : m + k], out=x[ndofs:])
+        rhs = ops.step @ x
+        if factors is None:  # step is M: (M z)(1/tau) plus a load per slice
+            rhs *= 1.0 / ops.tau
             for i in range(k):
                 l_i = float(ops.lgrid.nodes[m + i])
-                rhs[i] += load.assemble_values(spec.f(t, l_i, load.x, load.y))
-        else:
-            # row i gains (c(t) a_j(l_{m+i})) L_j; the blend is done with same
-            c_t = spec.f.time_factor(t)
-            term = ops._same[: ndofs * k].reshape(k, ndofs)
-            for a, field_load in zip(ops.source_factors, ops.source_loads):
-                np.multiply((c_t * a[m : m + k])[:, None], field_load, out=term)
-                rhs += term
-        rhs[:, ops.boundary_idx] = 0.0
-        out[c : c + k] = ops.solve_system(rhs)
+                rhs[:, i] += load.assemble_values(spec.f(t, l_i, load.x, load.y))
+        rhs[ops.boundary_idx] = 0.0
+        out[c : c + k] = ops.solve_system(rhs.T)
     _check_finite(out, n, m0)
 
 
 def _check_finite(rows: np.ndarray, n: int, m0: int) -> None:
     """Raise SolveFailure at the first row m0+i of level n holding a non-finite value."""
-    finite = np.isfinite(rows)
-    if not finite.all():
-        m = m0 + int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise SolveFailure(f"non-finite values in slice m={m} at step n={n}", n=n, m=m)
+    # a NaN makes max and min NaN, an infinity one of them infinite
+    if not rows.size or (np.isfinite(rows.max()) and np.isfinite(rows.min())):
+        return
+    m = m0 + int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+    raise SolveFailure(f"non-finite values in slice m={m} at step n={n}", n=n, m=m)
 
 
 def _advance_level(
@@ -430,8 +478,12 @@ def _snapshot_path(snapshot_dir, n: int):
 
 
 def write_snapshot(surface: SolutionSurface, path) -> None:
-    """Write a surface as text rows `m node_index value` (17 significant digits)."""
+    """Write a surface as text rows `m node_index value` (17 significant digits),
+    all rows of a slice formatted in one call."""
     with open(path, "w") as fh:
         for s in surface.slices:
-            for i, v in enumerate(s.values):
-                fh.write(f"{s.m} {i} {v:.16E}\n")
+            k = len(s)
+            fields = [s.m] * (3 * k)
+            fields[1::3] = range(k)
+            fields[2::3] = s.values.tolist()
+            fh.write("%d %d %.16E\n" * k % tuple(fields))

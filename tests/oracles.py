@@ -279,26 +279,29 @@ def advance_slice_reference(ops, n: int, m: int, prev_left, prev_same):
     """Slice (n, m) from its two level-(n-1) neighbours, one slice at a time.
 
     The order of the floating point operations is the one the block kernel
-    must reproduce: blend, mass product scaled by 1/tau, plus the source load,
-    boundary rows zeroed, one solve.  A separable source's load is the sum,
-    in field order, of its field loads L_j scaled by c(t) a_j(l_m), with a_j
-    evaluated on the whole internal grid as the kernel tabulates it; any
-    other source is evaluated at the quadrature points and assembled.
-    solve_system works on panels of a fixed width, so a right-hand side
-    solved alone gets the bytes it gets in any block.
+    must reproduce: blend, right-hand side, boundary rows zeroed, one solve.
+    A separable source's right-hand side is the product of the blend with
+    the mass matrix scaled by 1/tau entry by entry, plus, in field order, its
+    field loads L_j scaled by c(t) a_j(l_m), with a_j evaluated on the whole
+    internal grid as the kernel tabulates it; for tau = 2^-k this equals
+    (M z)(1/tau) plus the loads bit for bit.  Any other source has the mass
+    product scaled by 1/tau plus its load, evaluated at the quadrature points
+    and assembled.  solve_system works on panels of a fixed width, so a
+    right-hand side solved alone gets the bytes it gets in any block.
     """
     alpha = float(ops.alphas[m])
     ztilde = alpha * prev_left + (1.0 - alpha) * prev_same
     t = n * ops.tau
     l_m = float(ops.lgrid.nodes[m])
-    rhs = (ops.mass @ ztilde) * (1.0 / ops.tau)
     f = ops.spec.f
     if isinstance(f, SeparableSource):
+        rhs = ops.mass.multiply(1.0 / ops.tau) @ ztilde
         c_t = f.time_factor(t)
         for a, s in zip(f.l_factors, f.fields):
             a_m = np.broadcast_to(a(ops.lgrid.nodes), ops.lgrid.nodes.shape)[m]
             rhs = rhs + (c_t * a_m) * ops.load.assemble(s)
     else:
+        rhs = (ops.mass @ ztilde) * (1.0 / ops.tau)
         rhs = rhs + ops.load.assemble_values(f(t, l_m, ops.load.x, ops.load.y))
     rhs[ops.boundary_idx] = 0.0
     return ops.solve_system(rhs)

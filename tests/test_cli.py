@@ -41,6 +41,14 @@ def test_single_run_with_workers(capsys):
     assert "L2 error" in stdout and "H1 error" in stdout
 
 
+@pytest.mark.parametrize("workers, mode", [(None, "sequential"), ("1", "sequential"), ("2", "2 pipelined workers")])
+def test_single_run_labels_the_mode_it_runs(capsys, workers, mode):
+    # run_single runs a count of one sequentially, and the label says so
+    args = ["--study", "single", "--h", "0.5", "--tau", "0.25", "--iota", "0.25"]
+    assert cli_main(args + ([] if workers is None else ["--workers", workers])) == EXIT_OK
+    assert f"single run ({mode}):" in capsys.readouterr().out
+
+
 def test_cfl_violation_exits_nonzero(capsys):
     code = cli_main(
         ["--study", "single", "--h", "0.25", "--tau", "0.5", "--iota", "0.001"]
@@ -224,6 +232,27 @@ def test_a_worker_count_below_one_is_a_usage_error_naming_the_flag(capsys, args)
     assert cli_main(args) == EXIT_USAGE
     captured = capsys.readouterr()
     assert "argument --workers: must be >= 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--workers", "abc"),
+        ("--workers", "2,x"),
+        ("--steps", "1.5"),
+        ("--block", "two"),
+        ("--snapshots", "0,abc"),
+        ("--levels", "2,k"),
+    ],
+)
+def test_a_non_integer_is_a_usage_error_naming_only_the_flag(capsys, flag, value):
+    args = ["--study", "scaling", "--h", "0.5", "--steps", "1", f"{flag}={value}"]
+    assert cli_main(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    bad = value.split(",")[-1]
+    assert f"argument {flag}: expected an integer, got {bad!r}" in captured.err
+    assert "_count" not in captured.err and "_int" not in captured.err and "invalid" not in captured.err
     assert captured.out == ""
 
 

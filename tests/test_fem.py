@@ -436,6 +436,22 @@ def test_ritz_projection_matches_dense_oracle():
     assert np.abs(got - expected).max() <= 1e-10
 
 
+def test_ritz_projection_reuses_a_repeated_right_hand_side():
+    mesh = build_structured_mesh(UNIT_SQUARE, 0.25, 1)
+    g, grad = sin_field()
+    projector = ritz_p1(mesh)
+    solve, solves = projector._solver.solve, []
+    projector._solver.solve = lambda rhs: solves.append(rhs) or solve(rhs)
+    first = projector.project(g, grad)
+    want = first.copy()
+    first[:] = 1.0  # the caller's copy, not the kept solution
+    again = projector.project(g, grad)
+    assert len(solves) == 1 and again.tobytes() == want.tobytes()
+    scaled = projector.project(lambda x, y: 2.0 * g(x, y), lambda x, y: tuple(2.0 * c for c in grad(x, y)))
+    assert len(solves) == 2 and np.abs(scaled - 2.0 * want).max() <= 1e-12
+    assert projector.project(g, grad).tobytes() == want.tobytes() and len(solves) == 3
+
+
 def test_ritz_projection_galerkin_orthogonality():
     mesh = build_structured_mesh(UNIT_SQUARE, 0.25, 1)
     g, grad = sin_field()

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pbemoc import stepper
+from pbemoc import fem, stepper
 from pbemoc.characteristics import CflViolationError, LGrid, TimeGrid
 from pbemoc.fem import PANEL, FieldSlice, SolveFailure, SolverConfig
 from pbemoc.mesh import UNIT_SQUARE, build_structured_mesh, quadrature_rule, reference_basis
@@ -473,6 +473,9 @@ def test_separable_source_pointwise_matches_its_loads():
     source = three_field_source()
     spec = separable_spec(source)
     ops = precompute_operators(mesh, basis, spec, tgrid.tau, lgrid)
+    # the step operator's last J columns are the field loads
+    field_loads = ops.step[:, mesh.num_nodes :].toarray().T
+    assert field_loads.tobytes() == np.stack([ops.load.assemble(s) for s in source.fields]).tobytes()
     for n in (1, 4):
         t = n * tgrid.tau
         for m in range(1, lgrid.M + 1):
@@ -481,12 +484,12 @@ def test_separable_source_pointwise_matches_its_loads():
             )
             separated = sum(
                 (source.time_factor(t) * a[m]) * field_load
-                for a, field_load in zip(ops.source_factors, ops.source_loads)
+                for a, field_load in zip(ops.source_factors, field_loads)
             )
             assert np.abs(separated - pointwise).max() <= 1e-13 * np.abs(pointwise).max()
     # a step with the separated loads against one with the source evaluated per slice
     plain_ops = precompute_operators(mesh, basis, with_plain_source(spec), tgrid.tau, lgrid)
-    assert plain_ops.source_loads is None
+    assert plain_ops.source_factors is None and plain_ops.step is plain_ops.mass
     surface = initialize(mesh, basis, spec, lgrid, ops)
     for m in range(1, lgrid.M + 1):
         got = step_slice(surface, m, 1, ops).values
@@ -502,6 +505,61 @@ def test_separable_source_pipeline_matches_sequential_bytes(P):
     assert np.abs(seq.as_matrix()).max() > 0.0
     run = run_pipeline(spec, mesh, basis, lgrid, tgrid, P)
     assert run.surface.as_matrix().tobytes() == seq.as_matrix().tobytes()
+
+
+@pytest.mark.parametrize("P", [2, 3])
+def test_separable_source_pipeline_matches_sequential_bytes_across_chunks(P):
+    # tau = 1/60 is not a power of two, so M/tau rounds; M = 40 > PANEL puts
+    # the sequential chunk boundary inside a worker's block
+    mesh, basis, lgrid, tgrid = small_setup(h=0.25, M=40, N=6)
+    tgrid = TimeGrid(0.1, 6)
+    assert np.frexp(tgrid.tau)[0] != 0.5 and lgrid.M > PANEL
+    spec = separable_spec(three_field_source())
+    seq = run_sequential(spec, mesh, basis, lgrid, tgrid)
+    run = run_pipeline(spec, mesh, basis, lgrid, tgrid, P)
+    assert run.surface.as_matrix().tobytes() == seq.as_matrix().tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_dyadic_step_is_bitwise_the_scaled_mass_product_plus_loads(order):
+    # for tau = 2^-k, folding 1/tau into the mass entries is exact, so the
+    # kernel keeps the bytes of (M z)(1/tau) + sum_j (c(t) a_j(l_m)) L_j
+    M, n = 40, 3
+    mesh, basis, lgrid, _ = small_setup(M=M, order=order)
+    tau = 2.0 ** -6
+    source = three_field_source()
+    ops = precompute_operators(mesh, basis, separable_spec(source), tau, lgrid)
+    prev = np.random.default_rng(order).normal(size=(M + 1, mesh.num_nodes))
+    out = np.empty((M, mesh.num_nodes))
+    advance_block(ops, n, prev[0], prev[1:], 1, out)
+    c_t = source.time_factor(n * tau)
+    for m in range(1, M + 1):
+        alpha = float(ops.alphas[m])
+        rhs = (ops.mass @ (alpha * prev[m - 1] + (1.0 - alpha) * prev[m])) * (1.0 / tau)
+        for a, s in zip(ops.source_factors, source.fields):
+            rhs = rhs + (c_t * a[m]) * ops.load.assemble(s)
+        rhs[ops.boundary_idx] = 0.0
+        assert out[m - 1].tobytes() == ops.solve_system(rhs).tobytes(), m
+
+
+def test_field_loads_with_exact_zeros_match_the_oracle_bitwise():
+    # a field that vanishes on half the domain and one that vanishes
+    # everywhere: their loads hold exact zeros, which the step operator keeps
+    mesh, basis, lgrid, tgrid = small_setup(M=12, N=12, order=2)
+    source = SeparableSource(
+        lambda t: 1.0 - 2.0 * t,
+        (lambda l: 1.0 + l, lambda l: -np.cos(l), lambda l: 2.0 - l),
+        (lambda x, y: np.where(x < 0.5, 0.0, sines(x, y)), zeros, sines),
+    )
+    ops = precompute_operators(mesh, basis, separable_spec(source), tgrid.tau, lgrid)
+    field_loads = ops.step[:, mesh.num_nodes :].toarray()
+    assert (field_loads == 0.0).sum() > mesh.num_nodes and (field_loads != 0.0).any()
+    assert ops.step.nnz == ops.mass.nnz + 3 * mesh.num_nodes
+    prev = np.random.default_rng(4).normal(size=(lgrid.M + 1, mesh.num_nodes))
+    for n in (1, 5):
+        out = np.empty((lgrid.M, mesh.num_nodes))
+        advance_block(ops, n, prev[0], prev[1:], 1, out)
+        assert out.tobytes() == per_slice_level(ops, n, prev).tobytes()
 
 
 def test_separable_source_pipeline_iterative_close_to_sequential():
@@ -574,6 +632,56 @@ def test_run_sequential_solves_once_per_slice(mms, monkeypatch):
     monkeypatch.undo()
     plain = run_sequential(mms, mesh, basis, lgrid, tgrid)
     assert out.as_matrix().tobytes() == plain.as_matrix().tobytes()
+
+
+def inflow_spec(rate):
+    """Inflow exp(-rate t) sines, time-independent for rate 0, and initial
+    data (1 + l) sines, which differ from slice to slice."""
+    return make_spec(
+        z_init=lambda l, x, y: (1.0 + np.asarray(l)) * sines(x, y),
+        z_init_grad=lambda l, x, y: tuple((1.0 + np.asarray(l)) * g for g in sines_grad(x, y)),
+        z_bdry=lambda t, x, y: np.exp(-rate * t) * sines(x, y),
+        z_bdry_grad=lambda t, x, y: tuple(np.exp(-rate * t) * g for g in sines_grad(x, y)),
+    )
+
+
+@pytest.mark.parametrize("inflow", ["time-independent", "time-dependent"])
+def test_inflow_is_solved_once_per_distinct_right_hand_side(monkeypatch, inflow):
+    spec = inflow_spec(0.0 if inflow == "time-independent" else 1.0)
+    mesh, basis, lgrid, tgrid = small_setup(M=5, N=6)
+    ops = precompute_operators(mesh, basis, spec, tgrid.tau, lgrid)
+    solve, rhs_seen = ops.projector._solver.solve, []
+    ops.projector._solver.solve = lambda rhs: rhs_seen.append(rhs) or solve(rhs)
+    projections = []
+    project = ops.projector.project
+    ops.projector.project = lambda *args: projections.append(1) or project(*args)
+    monkeypatch.setattr(stepper, "precompute_operators", lambda *args: ops)
+    run_sequential(spec, mesh, basis, lgrid, tgrid)
+    # one projection per slice of level 0 and per inflow slice, as before
+    assert len(projections) == (lgrid.M + 1) + tgrid.N
+    inflow_solves = len(rhs_seen) - lgrid.M  # each initial slice is solved
+    assert inflow_solves == (1 if inflow == "time-independent" else tgrid.N + 1)
+
+
+@pytest.mark.parametrize("workers", [None, 3])
+def test_reusing_an_inflow_projection_keeps_the_bytes(mms, monkeypatch, workers):
+    mesh, basis, lgrid, tgrid = small_setup(M=5, N=6)
+    runs = []
+    for reuse in (True, False):
+        if not reuse:  # forget the last right-hand side before every projection
+            project = fem.RitzProjector.project
+
+            def forgetful(self, g, g_grad):
+                self._last_key = None
+                return project(self, g, g_grad)
+
+            monkeypatch.setattr(fem.RitzProjector, "project", forgetful)
+        for spec in (mms, inflow_spec(0.0), inflow_spec(1.0)):
+            if workers is None:
+                runs.append(run_sequential(spec, mesh, basis, lgrid, tgrid).as_matrix())
+            else:
+                runs.append(run_pipeline(spec, mesh, basis, lgrid, tgrid, workers).surface.as_matrix())
+    assert [r.tobytes() for r in runs[:3]] == [r.tobytes() for r in runs[3:]]
 
 
 def test_panel_solve_bytes_do_not_depend_on_block_layout(mms):
@@ -793,6 +901,16 @@ def test_scheme_linear_in_data(mms):
     np.testing.assert_allclose(
         scaled.as_matrix(), 2.0 * base.as_matrix(), rtol=1e-12, atol=1e-14
     )
+
+
+def test_snapshot_bytes_are_the_per_value_format(tmp_path):
+    values = np.random.default_rng(2).normal(size=(3, 7)) * 10.0 ** np.arange(-150, 160, 15)[:7]
+    values[0, :5] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    surface = SolutionSurface(4, tuple(FieldSlice(row, n=4, m=m) for m, row in enumerate(values)))
+    path = tmp_path / "surface.txt"
+    write_snapshot(surface, path)
+    want = "".join(f"{m} {i} {v:.16E}\n" for m, row in enumerate(values) for i, v in enumerate(row))
+    assert path.read_bytes() == want.encode()
 
 
 def test_snapshot_export(tmp_path, mms):
