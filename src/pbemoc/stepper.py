@@ -187,7 +187,8 @@ class Operators:
         self.mass, stiffness, convection, self.projector, self.load = _run_operators(
             mesh, basis, spec.epsilon, spec.b, solver_config
         )
-        self.system = (self.mass.multiply(1.0 / tau) + stiffness + convection).tocsr()
+        scaled_mass = self.mass.multiply(1.0 / tau)
+        self.system = (scaled_mass + stiffness + convection).tocsr()
         self.system_bc = apply_dirichlet(self.system, mesh.boundary_mask)
         self._solver = make_solver(self.system_bc, solver_config)
         # the step operator of advance_block: [M/tau | L_1 ... L_J] for a
@@ -196,7 +197,7 @@ class Operators:
         self.step, self.source_factors = self.mass, None
         if isinstance(spec.f, SeparableSource):
             loads = np.stack([self.load.assemble(s) for s in spec.f.fields])
-            self.step = _step_operator(self.mass, 1.0 / tau, loads)
+            self.step = _step_operator(scaled_mass, loads)
             self.source_factors = np.stack(
                 [np.broadcast_to(a(lgrid.nodes), lgrid.nodes.shape) for a in spec.f.l_factors]
             )
@@ -221,29 +222,24 @@ class Operators:
         return self._solver.solve_rows(rhs.reshape(-1, rhs.shape[-1])).reshape(rhs.shape)
 
 
-def _step_operator(mass: sp.csr_matrix, inv_tau: float, loads: np.ndarray) -> sp.csr_matrix:
-    """The (num_dofs, num_dofs + J) CSR matrix [M (1/tau) | L_1 ... L_J] of
-    the J field loads, rows of loads.
+def _step_operator(scaled_mass: sp.csr_matrix, loads: np.ndarray) -> sp.csr_matrix:
+    """The (num_dofs, num_dofs + J) CSR matrix [M/tau | L_1 ... L_J] of the
+    mass matrix scaled by 1/tau and the J field loads, given as the rows of
+    loads.
 
     Row i holds the mass entries of row i in their stored order, then
-    L_1[i] ... L_J[i], zeros kept.  Its product with a column whose first
-    num_dofs entries are a blend z and whose last J are c(t) a_j(l_m) is
-    therefore the sum of (M_ik / tau) z_k in the order of the mass product,
-    then of L_j[i] (c(t) a_j(l_m)) in field order: for tau = 2^-k exactly
+    L_1[i] ... L_J[i], zeros kept, so every row adds all J load terms as the
+    sum over fields does.  Its product with a column whose first
+    num_dofs entries are a blend z and whose last J are c(t) a_j(l_m) is the
+    sum of (M_ik / tau) z_k in the order of the mass product, then of
+    L_j[i] (c(t) a_j(l_m)) in field order: for tau = 2^-k exactly
     (M z)(1/tau) + sum_j (c(t) a_j(l_m)) L_j, term by term.
     """
-    ndofs, J = loads.shape[1], loads.shape[0]
-    indptr = mass.indptr + J * np.arange(ndofs + 1)
-    load_at = (indptr[1:, None] - J + np.arange(J)).ravel()  # the last J entries of each row
-    is_mass = np.ones(indptr[-1], dtype=bool)
-    is_mass[load_at] = False
-    indices = np.empty(indptr[-1], dtype=mass.indices.dtype)
-    data = np.empty(indptr[-1])
-    indices[is_mass] = mass.indices
-    data[is_mass] = mass.data * inv_tau
-    indices[load_at] = np.tile(ndofs + np.arange(J), ndofs)
-    data[load_at] = loads.T.ravel()
-    return sp.csr_matrix((data, indices, indptr), shape=(ndofs, ndofs + J))
+    J, ndofs = loads.shape
+    field_loads = sp.csr_matrix(
+        (loads.T.ravel(), np.tile(np.arange(J), ndofs), J * np.arange(ndofs + 1)), shape=(ndofs, J)
+    )
+    return sp.hstack([scaled_mass, field_loads], format="csr")
 
 
 def precompute_operators(
