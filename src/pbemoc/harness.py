@@ -327,7 +327,8 @@ def scaling_study(config: StudyConfig, problem: MMSProblem | None = None) -> lis
 
     Both modes run with tau = iota (the tightest stable step) over n_steps
     steps, so the integration horizon is n_steps * iota.  Worker counts above
-    the machine's core count are annotated as oversubscribed.
+    the number of usable CPUs (pipeline.usable_cpus) are annotated as
+    oversubscribed.
     """
     problem = problem if problem is not None else mms_problem()
     workers = config.workers or (1, 2)
@@ -389,7 +390,7 @@ def format_scaling_rows(rows: Sequence[ScalingRow]) -> str:
         lines.append(f"# speedup baseline: {rows[0].workers} worker(s)")
     if any(r.oversubscribed for r in rows):
         over = ",".join(str(r.workers) for r in rows if r.oversubscribed)
-        lines.append(f"# oversubscribed worker counts (more workers than cores): {over}")
+        lines.append(f"# oversubscribed worker counts (more workers than usable CPUs): {over}")
     lines.append(SCALING_HEADER)
     for r in rows:
         lines.append(

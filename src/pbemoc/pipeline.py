@@ -15,11 +15,18 @@ message is one float64 buffer holding the sender and the level ahead of the
 row, read into a preallocated buffer on the other side.  The dependency
 between workers is acyclic, so a send that blocks on a full pipe only waits
 for a neighbour that is still computing, and the pipeline cannot deadlock.
-Each worker sends its final block, its spans (one per level it computed)
-and its message count back over a result pipe of its own.  Every worker
+Each worker writes its final rows into one (M+1, num_dofs) array in
+anonymous shared memory, mapped by the caller before the fork, and sends only
+its spans (one per level it computed) and its message count back over a
+result pipe of its own; the returned surface views that array.  Every worker
 performs the same floating point operations as the sequential loop, so the
-assembled result is bitwise equal to the sequential one under the direct
-solver.
+result is bitwise equal to the sequential one under the direct solver.
+
+When there are two or more workers and no more of them than CPUs the caller
+may use, worker p is pinned to the p-th of those CPUs (in ascending order),
+so that a worker woken by its neighbour does not queue behind it on one CPU
+while another stays idle; PipelineRun.worker_cpus records the placement.  A
+single worker has no neighbour and is not pinned.
 
 A failing worker reports its error; a worker that dies without a report is
 seen through its process sentinel, and its step is read from a shared
@@ -64,6 +71,7 @@ __all__ = [
     "partition",
     "run_pipeline",
     "timing_report",
+    "usable_cpus",
 ]
 
 # a message is [sender, level, row...] as float64
@@ -133,7 +141,8 @@ class PipelineRun:
     """Result of a pipelined run: final surface plus timing and traffic counters.
 
     step_spans[p][n] is the (start, end) perf_counter span in which worker p
-    computed its rows of level n, level 0 included.
+    computed its rows of level n, level 0 included.  worker_cpus[p] is the CPU
+    worker p was pinned to, None when it was not pinned.
     """
 
     surface: SolutionSurface
@@ -141,6 +150,7 @@ class PipelineRun:
     wall_seconds: float
     messages_sent: int
     step_spans: list
+    worker_cpus: tuple
 
     @property
     def worker_busy_seconds(self) -> list:
@@ -166,7 +176,8 @@ class _Worker:
         self.spans = []
         self.sent = 0
 
-    def run(self) -> np.ndarray:
+    def run(self) -> None:
+        """Advance the block to the last level and write it into the engine's final array."""
         eng = self.engine
         t0 = time.perf_counter()
         values = eng.init_block(self.block)
@@ -183,7 +194,7 @@ class _Worker:
             values, spare = spare, values
             self.spans.append((t0, time.perf_counter()))
             self._send(n, values)
-        return values
+        eng.final[self.block.start : self.block.stop] = values
 
     def _send(self, n: int, values: np.ndarray) -> None:
         # level n feeds the neighbour's step n+1; the last level is never sent
@@ -222,7 +233,8 @@ class _Worker:
 class _Engine:
     """Forks the workers, wires their links, and gathers their results.
 
-    init_block(block) returns the level-0 rows of a block as one array;
+    width is the length of a row; init_block(block) returns the level-0 rows
+    of a block as one (len(block), width) array;
     advance(n, left, prev, m0, out) fills out with the level-n rows of the
     block starting at index m0, from its level-(n-1) rows prev and the
     neighbour's row left (None for the first worker).  The callbacks run in
@@ -230,18 +242,24 @@ class _Engine:
     fork.
     """
 
-    def __init__(self, plan: PipelinePlan, n_steps: int, init_block, advance):
+    def __init__(self, plan: PipelinePlan, n_steps: int, width: int, init_block, advance):
         self.plan = plan
         self.n_steps = n_steps
+        self.width = width
         self.init_block = init_block
         self.advance = advance
-        self.steps = None  # each worker's current step, in memory shared with the workers
+        self.cpus = _placement(plan.P)  # worker p's CPU, or None
+        # in memory shared with the workers: each worker's current step, and the last level
+        self.steps = None
+        self.final = None
 
     def execute(self) -> PipelineRun:
         mp = _fork_context()
         P = self.plan.P
-        # an anonymous mapping stays shared across fork
+        rows = self.plan.blocks[-1].stop
+        # anonymous mappings stay shared across fork
         self.steps = np.frombuffer(mmap.mmap(-1, 8 * P), dtype=np.int64)
+        self.final = np.frombuffer(mmap.mmap(-1, 8 * rows * self.width)).reshape(rows, self.width)
         links = [mp.Pipe(duplex=False) for _ in range(P - 1)]  # (reader, writer) from p to p+1
         results = [mp.Pipe(duplex=False) for _ in range(P)]
         readers = [reader for reader, _ in results]
@@ -274,11 +292,12 @@ class _Engine:
         wall = time.perf_counter() - t_start
 
         return PipelineRun(
-            surface=_level_surface(self.n_steps, np.concatenate([r[0] for r in reports])),
+            surface=_level_surface(self.n_steps, self.final),
             plan=self.plan,
             wall_seconds=wall,
-            messages_sent=sum(r[2] for r in reports),
-            step_spans=[r[1] for r in reports],
+            messages_sent=sum(r[1] for r in reports),
+            step_spans=[r[0] for r in reports],
+            worker_cpus=self.cpus,
         )
 
     def _child(self, p: int, links, results) -> None:
@@ -292,8 +311,10 @@ class _Engine:
                     conn.close()
         worker = _Worker(self, p, inbox, outbox)
         try:
-            values = worker.run()
-            message = ("done", (values, worker.spans, worker.sent))
+            if self.cpus[p] is not None:
+                os.sched_setaffinity(0, {self.cpus[p]})
+            worker.run()
+            message = ("done", (worker.spans, worker.sent))
         except Exception as exc:  # noqa: BLE001 - reported to the caller
             message = ("failed", _portable(exc))
         # sent before this process exits and closes its links, so a neighbour
@@ -301,7 +322,7 @@ class _Engine:
         report.send(message)
 
     def _gather(self, procs, readers) -> list:
-        """Every worker's (values, spans, sent); PipelineError for the root cause.
+        """Every worker's (spans, sent); PipelineError for the root cause.
 
         A failure stops the workers right of it, which can only lose their link,
         and waits for those left of it while their steps move (LEFT_WAIT_S).
@@ -350,6 +371,22 @@ def _read_report(reader, proc) -> tuple:
     )
 
 
+def usable_cpus() -> int:
+    """Number of CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _placement(P: int) -> tuple:
+    """Worker p's CPU for each p: the p-th usable CPU when two or more workers
+    each get one of their own, else None for all (and where affinity is
+    unsupported)."""
+    if not hasattr(os, "sched_setaffinity") or not 2 <= P <= usable_cpus():
+        return (None,) * P
+    return tuple(sorted(os.sched_getaffinity(0))[:P])
+
+
 def _portable(exc: BaseException) -> BaseException:
     """exc if it survives pickling, else a RuntimeError holding its repr."""
     try:
@@ -382,7 +419,11 @@ def run_pipeline(
     # built once here; the workers inherit them through the fork
     ops = _prepare(spec, mesh, basis, lgrid, tgrid, solver_config)
     engine = _Engine(
-        plan, tgrid.N, partial(_initial_rows, ops.projector, spec, lgrid), partial(_advance_level, ops)
+        plan,
+        tgrid.N,
+        mesh.num_nodes,
+        partial(_initial_rows, ops.projector, spec, lgrid),
+        partial(_advance_level, ops),
     )
     return engine.execute()
 
@@ -396,7 +437,7 @@ class ScalingRow:
     speedup: float
     avg_worker_seconds: float
     max_worker_seconds: float
-    oversubscribed: bool = False  # more workers than cores
+    oversubscribed: bool = False  # more workers than usable CPUs
 
 
 def timing_report(run: PipelineRun, baseline: PipelineRun | None = None) -> ScalingRow:
@@ -409,5 +450,5 @@ def timing_report(run: PipelineRun, baseline: PipelineRun | None = None) -> Scal
         speedup=base_wall / run.wall_seconds,
         avg_worker_seconds=float(np.mean(busy)),
         max_worker_seconds=float(np.max(busy)),
-        oversubscribed=run.plan.P > (os.cpu_count() or 1),
+        oversubscribed=run.plan.P > usable_cpus(),
     )

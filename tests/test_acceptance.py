@@ -5,7 +5,6 @@ properties, criterion 6 the invariant bundle, and criterion 7 the dense
 brute-force cross-checks.
 """
 
-import os
 import time
 
 import numpy as np
@@ -24,7 +23,7 @@ from pbemoc.fem import (
 )
 from pbemoc.harness import StudyConfig, characteristics_study, convergence_study, scaling_study
 from pbemoc.mesh import UNIT_SQUARE, build_structured_mesh, quadrature_rule, reference_basis
-from pbemoc.pipeline import run_pipeline
+from pbemoc.pipeline import run_pipeline, usable_cpus
 from pbemoc.stepper import ProblemSpec, initialize, precompute_operators, run_sequential, step_slice
 
 import oracles
@@ -135,7 +134,7 @@ def test_criterion_4_pipeline_equivalence(mms):
 
 
 def test_criterion_5a_strong_scaling_wall_time(mms):
-    cores = os.cpu_count() or 1
+    cores = usable_cpus()
     if cores < 4:
         record_criterion(
             "5a",
@@ -188,7 +187,7 @@ def test_criterion_5b_message_count(mms):
 
 def test_criterion_5c_weak_scaling_balance(mms):
     t0 = time.time()
-    cores = os.cpu_count() or 1
+    cores = usable_cpus()
     workers = tuple(p for p in (1, 2, 4) if p <= max(cores, 2))
     rows = scaling_study(
         StudyConfig(

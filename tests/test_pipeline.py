@@ -1,3 +1,4 @@
+import gc
 import mmap
 import multiprocessing
 import os
@@ -19,6 +20,7 @@ from pbemoc.pipeline import (
     partition,
     run_pipeline,
     timing_report,
+    usable_cpus,
 )
 from pbemoc.stepper import run_sequential
 
@@ -69,21 +71,58 @@ def pipeline_setup(h=0.125, M=16, N=16, order=1):
     return mesh, reference_basis(order), LGrid(0.0, 1.0, M), TimeGrid(1.0, N)
 
 
-def test_single_worker_matches_sequential_bytes(mms):
-    mesh, basis, lgrid, tgrid = pipeline_setup()
-    seq = run_sequential(mms, mesh, basis, lgrid, tgrid)
-    run = run_pipeline(mms, mesh, basis, lgrid, tgrid, 1)
-    assert run.surface.as_matrix().tobytes() == seq.as_matrix().tobytes()
-
-
-@pytest.mark.parametrize("P", [2, 3, 4])
+@pytest.mark.parametrize("P", range(1, 9))
 def test_pipeline_matches_sequential_bytes(mms, P):
+    # pinned workers where 2 <= P fits the usable CPUs, unpinned ones otherwise
     mesh, basis, lgrid, tgrid = pipeline_setup()
     seq = run_sequential(mms, mesh, basis, lgrid, tgrid)
     run = run_pipeline(mms, mesh, basis, lgrid, tgrid, P)
     assert run.surface.as_matrix().tobytes() == seq.as_matrix().tobytes()
     for m, s in enumerate(run.surface.slices):
         assert (s.n, s.m) == (tgrid.N, m)
+    assert len(run.worker_cpus) == P
+    if P == 1 or P > usable_cpus():
+        assert run.worker_cpus == (None,) * P
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or usable_cpus() < 2,
+    reason="needs CPU affinity and two usable CPUs",
+)
+def test_workers_within_the_usable_cpus_run_on_distinct_ones():
+    # each worker reports the CPU set it runs on from inside its process
+    P = min(usable_cpus(), 4)
+    allowed = os.sched_getaffinity(0)
+    seen = np.frombuffer(mmap.mmap(-1, 8 * 2 * P), dtype=np.int64).reshape(P, 2)
+
+    def init_block(block):
+        cpus = os.sched_getaffinity(0)
+        seen[partition(P, P).blocks.index(block)] = len(cpus), min(cpus)
+        return np.zeros((len(block), 1))
+
+    run = _Engine(partition(P, P), 1, 1, init_block, lambda n, left, prev, m0, out: None).execute()
+    assert run.worker_cpus == tuple(sorted(allowed)[:P])
+    assert seen.tolist() == [[1, cpu] for cpu in run.worker_cpus]
+    assert os.sched_getaffinity(0) == allowed  # the caller stays unpinned
+
+
+def test_one_usable_cpu_leaves_two_workers_unpinned(mms, monkeypatch):
+    mesh, basis, lgrid, tgrid = pipeline_setup(M=8, N=8)
+    seq = run_sequential(mms, mesh, basis, lgrid, tgrid)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert usable_cpus() == 1
+    run = run_pipeline(mms, mesh, basis, lgrid, tgrid, 2)
+    assert run.worker_cpus == (None, None)
+    assert run.surface.as_matrix().tobytes() == seq.as_matrix().tobytes()
+
+
+def test_without_affinity_support_the_run_is_unpinned(mms, monkeypatch):
+    mesh, basis, lgrid, tgrid = pipeline_setup(M=8, N=8)
+    seq = run_sequential(mms, mesh, basis, lgrid, tgrid)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    run = run_pipeline(mms, mesh, basis, lgrid, tgrid, 2)
+    assert run.worker_cpus == (None, None)
+    assert run.surface.as_matrix().tobytes() == seq.as_matrix().tobytes()
 
 
 def test_pipeline_iterative_solver_close_to_sequential(mms):
@@ -134,12 +173,16 @@ def synthetic_engine(P, M, N, stage_cost=0.0, fail_at=None, exit_at=None, slices
                 time.sleep(stage_cost)
             out[i] = (prev[i - 1] if i > 0 else left) + prev[i]  # depends on both inputs
 
-    return _Engine(plan, N, init_block, advance)
+    return _Engine(plan, N, 1, init_block, advance)
 
 
 def test_synthetic_engine_matches_serial_recurrence():
     P, M, N = 3, 8, 5
-    stats = synthetic_engine(P, M, N).execute()
+    engine = synthetic_engine(P, M, N)
+    stats = engine.execute()
+    del engine
+    gc.collect()
+    # the surface views the shared final level, which outlives the engine
     values = stats.surface.as_matrix()
 
     serial = {m: float(m) for m in range(M + 1)}
@@ -216,7 +259,7 @@ def test_unpicklable_worker_error_arrives_as_its_repr():
     def advance(n, left, prev, m0, out):
         raise Unpicklable(1, 2)
 
-    engine = _Engine(partition(4, 2), 2, lambda b: np.zeros((len(b), 1)), advance)
+    engine = _Engine(partition(4, 2), 2, 1, lambda b: np.zeros((len(b), 1)), advance)
     with pytest.raises(PipelineError) as err:
         engine.execute()
     assert (err.value.worker, err.value.step) == (0, 1)
@@ -232,7 +275,7 @@ def test_root_cause_is_the_lowest_failing_worker_whatever_the_timing():
             time.sleep(0.05)
         raise ValueError(f"block at m0={m0}")
 
-    engine = _Engine(partition(4, 2), 2, lambda b: np.zeros((len(b), 1)), advance)
+    engine = _Engine(partition(4, 2), 2, 1, lambda b: np.zeros((len(b), 1)), advance)
     with pytest.raises(PipelineError) as err:
         engine.execute()
     assert (err.value.worker, err.value.step) == (0, 1)
@@ -249,7 +292,7 @@ def test_a_left_worker_that_stops_moving_after_a_failure_is_stopped():
             time.sleep(20)
         raise ValueError(f"block at m0={m0}")
 
-    engine = _Engine(partition(4, 2), 2, lambda b: np.zeros((len(b), 1)), advance)
+    engine = _Engine(partition(4, 2), 2, 1, lambda b: np.zeros((len(b), 1)), advance)
     t0 = time.perf_counter()
     with pytest.raises(PipelineError) as err:
         engine.execute()
