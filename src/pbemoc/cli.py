@@ -148,6 +148,10 @@ def cli_main(argv=None) -> int:
 def _solver_from(args) -> SolverConfig | None:
     if args.solver is None and args.solver_tol is None:
         return None
+    if args.solver == "direct" and args.solver_tol is not None:
+        raise ValueError(
+            f"--solver-tol={args.solver_tol:g} applies to the iterative solver, not --solver=direct"
+        )
     tol = {} if args.solver_tol is None else {"tol": args.solver_tol}
     return SolverConfig(mode=args.solver or "iterative", **tol)
 

@@ -1,23 +1,25 @@
 """Pipelined execution over blocks of the internal-coordinate grid.
 
-Each of P workers owns a contiguous block of internal indices, holds it as
-one (rows, num_dofs) array, and advances it a level at a time with the block
-kernel of the sequential loop (stepper.advance_block).  Transport moves
-information to the right only, so at every time step a worker needs exactly
-one slice from its left neighbour: the last row of that block at the
-previous level.  Workers therefore form a linear pipeline; after a fill-in
-phase of at most P-1 steps all workers are busy simultaneously.
+Each of P workers owns a contiguous block of internal indices, holds the
+free-DOF values of its slices as one (rows, num_free) array, and advances it
+a level at a time with the block kernel of the sequential loop
+(stepper.advance_block).  Transport moves information to the right only, so
+at every time step a worker needs exactly one slice from its left
+neighbour: the last row of that block at the previous level.  Workers
+therefore form a linear pipeline; after a fill-in phase of at most P-1
+steps all workers are busy simultaneously.
 
 Workers are processes forked from the caller, so each inherits the
 assembled operators and their factorizations copy-on-write: nothing is
 pickled or factorized again.  Neighbours are joined by a one-way pipe; a
 message is one float64 buffer holding the sender and the level ahead of the
-row, read into a preallocated buffer on the other side.  The dependency
-between workers is acyclic, so a send that blocks on a full pipe only waits
-for a neighbour that is still computing, and the pipeline cannot deadlock.
-Each worker writes its final rows into one (M+1, num_dofs) array in
-anonymous shared memory, mapped by the caller before the fork, and sends only
-its spans (one per level it computed) and its message count back over a
+free-DOF row, read into a preallocated buffer on the other side.  The
+dependency between workers is acyclic, so a send that blocks on a full pipe
+only waits for a neighbour that is still computing, and the pipeline cannot
+deadlock.  Each worker writes its final rows into the free columns of one
+(M+1, num_dofs) array in anonymous shared memory, mapped by the caller
+before the fork, whose boundary columns keep the mapping's zeros.  It sends
+only its spans (one per level it computed) and its message count back over a
 result pipe of its own; the returned surface views that array.  Every worker
 performs the same floating point operations as the sequential loop, so the
 result is bitwise equal to the sequential one under the direct solver.
@@ -57,7 +59,7 @@ from .stepper import (
     ProblemSpec,
     SolutionSurface,
     _advance_level,
-    _initial_rows,
+    _initial_level,
     _level_surface,
     _prepare,
 )
@@ -194,7 +196,7 @@ class _Worker:
             values, spare = spare, values
             self.spans.append((t0, time.perf_counter()))
             self._send(n, values)
-        eng.final[self.block.start : self.block.stop] = values
+        eng.final[self.block.start : self.block.stop, eng.columns] = values
 
     def _send(self, n: int, values: np.ndarray) -> None:
         # level n feeds the neighbour's step n+1; the last level is never sent
@@ -233,8 +235,9 @@ class _Worker:
 class _Engine:
     """Forks the workers, wires their links, and gathers their results.
 
-    width is the length of a row; init_block(block) returns the level-0 rows
-    of a block as one (len(block), width) array;
+    width is the length of a row of the final array, and columns the columns
+    of it that a block's rows fill; init_block(block) returns the level-0
+    rows of a block as one array;
     advance(n, left, prev, m0, out) fills out with the level-n rows of the
     block starting at index m0, from its level-(n-1) rows prev and the
     neighbour's row left (None for the first worker).  The callbacks run in
@@ -242,10 +245,13 @@ class _Engine:
     fork.
     """
 
-    def __init__(self, plan: PipelinePlan, n_steps: int, width: int, init_block, advance):
+    def __init__(
+        self, plan: PipelinePlan, n_steps: int, width: int, init_block, advance, columns=slice(None)
+    ):
         self.plan = plan
         self.n_steps = n_steps
         self.width = width
+        self.columns = columns
         self.init_block = init_block
         self.advance = advance
         self.cpus = _placement(plan.P)  # worker p's CPU, or None
@@ -257,7 +263,7 @@ class _Engine:
         mp = _fork_context()
         P = self.plan.P
         rows = self.plan.blocks[-1].stop
-        # anonymous mappings stay shared across fork
+        # anonymous mappings stay shared across fork and start zeroed
         self.steps = np.frombuffer(mmap.mmap(-1, 8 * P), dtype=np.int64)
         self.final = np.frombuffer(mmap.mmap(-1, 8 * rows * self.width)).reshape(rows, self.width)
         links = [mp.Pipe(duplex=False) for _ in range(P - 1)]  # (reader, writer) from p to p+1
@@ -422,8 +428,9 @@ def run_pipeline(
         plan,
         tgrid.N,
         mesh.num_nodes,
-        partial(_initial_rows, ops.projector, spec, lgrid),
+        partial(_initial_level, ops),
         partial(_advance_level, ops),
+        columns=ops.free,
     )
     return engine.execute()
 

@@ -14,20 +14,31 @@ gradient projections of the prescribed data.  Level 0 evaluates the initial
 data for a group of slices per call and projects each slice alone, so it has
 the bytes of slice-by-slice projections.
 
-One kernel, advance_block, advances a contiguous block of slices of a level,
-held as a (rows, num_dofs) float64 array.  The sequential loop calls it once
-per level on slices 1..M, each pipeline worker once per level on its own
-block, and step_slice on a block of one slice.  Within a block, slices are
-processed in chunks of one solver panel (fem.PANEL slices), one column per
-slice, in chunk buffers that Operators allocates once per run.  A
-SeparableSource, c(t) sum_j a_j(l) s_j(x, y), has its field loads
-L_j = integral of s_j phi_i assembled and its factors a_j(l_m) tabulated once
-per run, and the loads form one CSR step operator [M/tau | L_1 ... L_J] with
-the mass matrix scaled by 1/tau: one sparse product of it with the chunk's
-blends and coefficients c(t) a_j(l_m) gives the right-hand sides, the mass
-terms first and the loads after them in field order.  Any other source has
-the mass product scaled by 1/tau, and its load is evaluated at the
-quadrature points and assembled once per slice.
+A run steps only the free (non-Dirichlet) DOFs, whose values are exactly
+zero on the boundary at every level: a level, a pipeline block and a message
+are (rows, num_free) arrays, and the step factor is taken on the free block
+of the eliminated system (fem.apply_dirichlet), which gives a free row the
+eliminated system's bytes.  Arrays leave a run full width, with exact zeros
+at the boundary DOFs: the returned surface, the snapshots and the per-slice
+API (initialize, boundary_slice, step_slice, and Operators.solve_system
+given all-DOF rows).
+
+One kernel, advance_block, advances a contiguous block of slices of a level.
+The sequential loop calls it once per level on slices 1..M, each pipeline
+worker once per level on its own block, and step_slice on a block of one
+slice.  Within a block, slices are processed in chunks of one solver panel
+(fem.PANEL slices), one column per slice, in chunk buffers that Operators
+allocates once per run.  A SeparableSource, c(t) sum_j a_j(l) s_j(x, y), has
+its field loads L_j = integral of s_j phi_i assembled and its factors
+a_j(l_m) tabulated once per run, and the loads form one CSR step operator
+[M/tau | L_1 ... L_J], on free rows and columns, with the mass matrix scaled
+by 1/tau: one sparse product of it with the chunk's blends and coefficients
+c(t) a_j(l_m) gives the right-hand sides, the mass terms first and the loads
+after them in field order.  Any other source has the mass product scaled by
+1/tau, and its load is evaluated at the quadrature points, assembled once
+per slice and taken on the free rows.  The mass terms of the boundary
+columns, which the full product would add, are products with exact zeros
+and do not change a sum.
 
 Rounding: for tau = 2^-k, scaling the mass entries by 1/tau is exact, so a
 separable source's right-hand side is bit for bit (M z)(1/tau) plus the
@@ -44,6 +55,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -165,6 +177,10 @@ class Operators:
     """Assembled matrices, factorizations, the projector and load assembler,
     the step operator and the chunk buffers of advance_block, for one run.
 
+    free holds the indices of the free (non-Dirichlet) DOFs, the columns of
+    every level a run steps; the step factor and the step operator work on
+    those DOFs only, and boundary_idx holds the others.
+
     Pipeline workers inherit the operators through fork; a worker's first
     write to a buffer gives it a copy of its own.
     """
@@ -189,19 +205,25 @@ class Operators:
         )
         scaled_mass = self.mass.multiply(1.0 / tau)
         self.system = (scaled_mass + stiffness + convection).tocsr()
-        self.system_bc = apply_dirichlet(self.system, mesh.boundary_mask)
-        self._solver = make_solver(self.system_bc, solver_config)
-        # the step operator of advance_block: [M/tau | L_1 ... L_J] for a
-        # separable source, with a_j(l_m) as row j of source_factors; M for
-        # any other source, whose step scales the mass product by 1/tau
-        self.step, self.source_factors = self.mass, None
+        self._boundary_mask = mesh.boundary_mask
+        self.boundary_idx = np.flatnonzero(mesh.boundary_mask)
+        self.free = np.flatnonzero(~mesh.boundary_mask)  # the DOFs a run steps
+        free = self.free
+        eliminated = apply_dirichlet(self.system, mesh.boundary_mask)
+        self._solver = make_solver(eliminated[free][:, free], solver_config)
+        # the step operator of advance_block on free rows and columns:
+        # [M/tau | L_1 ... L_J] for a separable source, with a_j(l_m) as row j
+        # of source_factors; M for any other source, whose step scales the
+        # mass product by 1/tau
+        self.source_factors = None
         if isinstance(spec.f, SeparableSource):
             loads = np.stack([self.load.assemble(s) for s in spec.f.fields])
-            self.step = _step_operator(scaled_mass, loads)
+            self.step = _step_operator(scaled_mass[free][:, free], loads[:, free])
             self.source_factors = np.stack(
                 [np.broadcast_to(a(lgrid.nodes), lgrid.nodes.shape) for a in spec.f.l_factors]
             )
-        self.boundary_idx = np.flatnonzero(mesh.boundary_mask)
+        else:
+            self.step = self.mass[free][:, free]
         # the foot weights are time-independent because G does not depend on t
         self.alphas = foot_weights(tau, lgrid, spec.G)
         self.beta = 1.0 - self.alphas  # weight of the same-index slice
@@ -209,35 +231,59 @@ class Operators:
         # PANEL slices: the operand of the step operator and the blend's
         # same-index term
         self._chunk = np.empty(self.step.shape[1] * PANEL)
-        self._same = np.empty(self.mass.shape[0] * PANEL)
+        self._same = np.empty(free.size * PANEL)
+
+    @cached_property
+    def system_bc(self) -> sp.csr_matrix:
+        """The system with its boundary DOFs eliminated (fem.apply_dirichlet),
+        built when first read; the step factor is taken on its free block."""
+        return apply_dirichlet(self.system, self._boundary_mask)
+
+    def full_width(self, rows: np.ndarray) -> np.ndarray:
+        """Free-DOF rows as all-DOF rows, with exact zeros at the boundary DOFs."""
+        out = np.zeros(rows.shape[:-1] + self._boundary_mask.shape)
+        out[..., self.free] = rows
+        return out
 
     def solve_system(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve a (k, num_dofs) block of right-hand sides, one per row.
+        """Solve a block of right-hand sides, one per row, each over the free
+        DOFs or over all DOFs.
 
-        The block may be a transposed view of (num_dofs, k) columns, as
+        All-DOF rows are solved on their free entries, their boundary entries
+        ignored, and come back as all-DOF rows with exact zeros at the
+        boundary DOFs.  The block may be a transposed view of columns, as
         advance_block passes it.  A 1-D rhs is a block of one, so it gets the
         bytes it gets in any block.
         """
         rhs = np.asarray(rhs, dtype=float)
-        return self._solver.solve_rows(rhs.reshape(-1, rhs.shape[-1])).reshape(rhs.shape)
+        width = rhs.shape[-1]
+        rows = rhs.reshape(-1, width)
+        if width == self.free.size:
+            return self._solver.solve_rows(rows).reshape(rhs.shape)
+        if width != self._boundary_mask.size:
+            raise ValueError(
+                f"right-hand sides of {width} entries; expected {self.free.size} "
+                f"free DOFs or {self._boundary_mask.size} DOFs"
+            )
+        return self.full_width(self._solver.solve_rows(rows[:, self.free])).reshape(rhs.shape)
 
 
 def _step_operator(scaled_mass: sp.csr_matrix, loads: np.ndarray) -> sp.csr_matrix:
-    """The (num_dofs, num_dofs + J) CSR matrix [M/tau | L_1 ... L_J] of the
-    mass matrix scaled by 1/tau and the J field loads, given as the rows of
-    loads.
+    """The (n, n + J) CSR matrix [M/tau | L_1 ... L_J] of an (n, n) block of
+    the mass matrix scaled by 1/tau and the J field loads on the same n DOFs,
+    given as the rows of loads.
 
     Row i holds the mass entries of row i in their stored order, then
     L_1[i] ... L_J[i], zeros kept, so every row adds all J load terms as the
     sum over fields does.  Its product with a column whose first
-    num_dofs entries are a blend z and whose last J are c(t) a_j(l_m) is the
+    n entries are a blend z and whose last J are c(t) a_j(l_m) is the
     sum of (M_ik / tau) z_k in the order of the mass product, then of
     L_j[i] (c(t) a_j(l_m)) in field order: for tau = 2^-k exactly
     (M z)(1/tau) + sum_j (c(t) a_j(l_m)) L_j, term by term.
     """
-    J, ndofs = loads.shape
+    J, n = loads.shape
     field_loads = sp.csr_matrix(
-        (loads.T.ravel(), np.tile(np.arange(J), ndofs), J * np.arange(ndofs + 1)), shape=(ndofs, J)
+        (loads.T.ravel(), np.tile(np.arange(J), n), J * np.arange(n + 1)), shape=(n, J)
     )
     return sp.hstack([scaled_mass, field_loads], format="csr")
 
@@ -288,6 +334,11 @@ def _initial_rows(projector: RitzProjector, spec: ProblemSpec, lgrid: LGrid, blo
     return rows
 
 
+def _initial_level(ops: Operators, block: range) -> np.ndarray:
+    """The free-DOF level-0 rows of the slices in block."""
+    return _initial_rows(ops.projector, ops.spec, ops.lgrid, block)[:, ops.free]
+
+
 def _level_surface(n: int, level: np.ndarray) -> SolutionSurface:
     """Surface whose slices view the rows of the (M+1, num_dofs) level array."""
     return SolutionSurface(n, tuple(FieldSlice(row, n=n, m=m) for m, row in enumerate(level)))
@@ -303,7 +354,8 @@ def initialize(
     """Level-0 surface: gradient projections of the initial and inflow data,
     with the projector, and so the solver, of operators."""
     _check_compatibility(spec, mesh, lgrid)
-    return _level_surface(0, _initial_rows(operators.projector, spec, lgrid, range(lgrid.M + 1)))
+    rows = _initial_rows(operators.projector, spec, lgrid, range(lgrid.M + 1))
+    return _level_surface(0, operators.full_width(rows[:, operators.free]))
 
 
 def boundary_slice(
@@ -320,7 +372,8 @@ def boundary_slice(
     The inflow is taken at t = n*tau, the time at which the other slices of
     level n evaluate the source.
     """
-    return FieldSlice(_project_boundary(operators.projector, spec, n * tgrid.tau), n=n, m=0)
+    row = _project_boundary(operators.projector, spec, n * tgrid.tau)
+    return FieldSlice(operators.full_width(row[operators.free]), n=n, m=0)
 
 
 def advance_block(
@@ -333,21 +386,22 @@ def advance_block(
 ) -> None:
     """Fill out[i] with slice (n, m0+i) for every row i of prev.
 
-    prev holds the level-(n-1) slices m0..m0+k-1 as a (k, num_dofs) array and
-    left_row the level-(n-1) slice m0-1; out has the shape of prev.  Rows are
-    processed in chunks of fem.PANEL rows, one column per slice: the blend is
-    written into the chunk buffer, a separable source's coefficients
-    c(t) a_j(l_m) below it, and one product with the step operator
-    [M/tau | L_1 ... L_J] gives the right-hand sides, which are solved straight
-    into out.  Any other source has its mass product scaled by 1/tau and its
-    load evaluated and assembled once per slice.  Each column's arithmetic
-    does not depend on the chunk, and the solver works on panels of a fixed
-    width, so every row gets the same bytes in any block.
+    prev holds the free-DOF values of the level-(n-1) slices m0..m0+k-1 as a
+    (k, num_free) array and left_row those of the level-(n-1) slice m0-1; out
+    has the shape of prev.  Rows are processed in chunks of fem.PANEL rows,
+    one column per slice: the blend is written into the chunk buffer, a
+    separable source's coefficients c(t) a_j(l_m) below it, and one product
+    with the step operator [M/tau | L_1 ... L_J] gives the right-hand sides,
+    which are solved straight into out.  Any other source has its mass
+    product scaled by 1/tau and its load evaluated, assembled and taken on
+    the free rows once per slice.  Each column's arithmetic does not depend
+    on the chunk, and the solver works on panels of a fixed width, so every
+    row gets the same bytes in any block.
     Raises SolveFailure at the first slice with a non-finite value.
     """
     spec, load, alphas = ops.spec, ops.load, ops.alphas
     factors = ops.source_factors
-    ndofs = prev.shape[1]
+    nfree = prev.shape[1]
     width = ops.step.shape[1]
     t = n * ops.tau
     if factors is not None:
@@ -355,11 +409,11 @@ def advance_block(
     for c in range(0, prev.shape[0], PANEL):
         k = min(PANEL, prev.shape[0] - c)
         m = m0 + c
-        # column i is slice m+i: the characteristic blend in rows :ndofs, then
-        # c(t) a_j(l_{m+i}) in row ndofs+j
+        # column i is slice m+i: the characteristic blend in rows :nfree, then
+        # c(t) a_j(l_{m+i}) in row nfree+j
         x = ops._chunk[: width * k].reshape(width, k)
-        z = x[:ndofs]
-        same = ops._same[: ndofs * k].reshape(ndofs, k)
+        z = x[:nfree]
+        same = ops._same[: nfree * k].reshape(nfree, k)
         if c == 0:
             np.multiply(left_row, alphas[m], out=z[:, 0])
             np.multiply(prev[: k - 1].T, alphas[m + 1 : m + k], out=z[:, 1:])
@@ -368,14 +422,13 @@ def advance_block(
         np.multiply(prev[c : c + k].T, ops.beta[m : m + k], out=same)
         np.add(z, same, out=z)
         if factors is not None:
-            np.multiply(c_t, factors[:, m : m + k], out=x[ndofs:])
+            np.multiply(c_t, factors[:, m : m + k], out=x[nfree:])
         rhs = ops.step @ x
         if factors is None:  # step is M: (M z)(1/tau) plus a load per slice
             rhs *= 1.0 / ops.tau
             for i in range(k):
                 l_i = float(ops.lgrid.nodes[m + i])
-                rhs[:, i] += load.assemble_values(spec.f(t, l_i, load.x, load.y))
-        rhs[ops.boundary_idx] = 0.0
+                rhs[:, i] += load.assemble_values(spec.f(t, l_i, load.x, load.y))[ops.free]
         out[c : c + k] = ops.solve_system(rhs.T)
     _check_finite(out, n, m0)
 
@@ -401,7 +454,7 @@ def _advance_level(
     if m0 > 0:
         advance_block(ops, n, left_row, prev, m0, out)
         return
-    out[0] = _project_boundary(ops.projector, ops.spec, n * ops.tau)
+    out[0] = _project_boundary(ops.projector, ops.spec, n * ops.tau)[ops.free]
     _check_finite(out[:1], n, 0)
     advance_block(ops, n, prev[0], prev[1:], 1, out[1:])
 
@@ -412,17 +465,21 @@ def step_slice(
     n: int,
     operators: Operators,
 ) -> FieldSlice:
-    """Advance internal index m from the complete level-(n-1) surface."""
+    """Advance internal index m from the complete level-(n-1) surface.
+
+    The kernel reads the free DOFs of the two slices it blends; the slice
+    it returns has exact zeros at the boundary DOFs."""
     if not 1 <= m <= operators.lgrid.M:
         raise ValueError(f"internal index must lie in 1..{operators.lgrid.M}, got {m}")
     if surface_prev.n != n - 1:
         raise ValueError(
             f"previous surface is at level {surface_prev.n}, expected {n - 1}"
         )
-    same = surface_prev.slices[m].values
-    out = np.empty((1, same.shape[0]))
-    advance_block(operators, n, surface_prev.slices[m - 1].values, same[None, :], m, out)
-    return FieldSlice(out[0], n=n, m=m)
+    free = operators.free
+    out = np.empty((1, free.size))
+    left, same = (surface_prev.slices[i].values[free] for i in (m - 1, m))
+    advance_block(operators, n, left, same[None, :], m, out)
+    return FieldSlice(operators.full_width(out[0]), n=n, m=m)
 
 
 def _prepare(
@@ -455,17 +512,18 @@ def run_sequential(
     """Advance the full surface from t=0 to t=T, one advance_block call per level."""
     ops = _prepare(spec, mesh, basis, lgrid, tgrid, solver_config)
     snapshots = set(int(s) for s in snapshot_steps)
-    # two level arrays, swapped after every step
-    level = _initial_rows(ops.projector, spec, lgrid, range(lgrid.M + 1))
+    # two free-DOF level arrays, swapped after every step
+    level = _initial_level(ops, range(lgrid.M + 1))
     if 0 in snapshots:
-        write_snapshot(_level_surface(0, level), _snapshot_path(snapshot_dir, 0))
+        write_snapshot(_level_surface(0, ops.full_width(level)), _snapshot_path(snapshot_dir, 0))
     spare = np.empty_like(level)
     for n in range(1, tgrid.N + 1):
         _advance_level(ops, n, None, level, 0, spare)
         level, spare = spare, level
         if n in snapshots:
-            write_snapshot(_level_surface(n, level), _snapshot_path(snapshot_dir, n))
-    return _level_surface(tgrid.N, level)
+            write_snapshot(_level_surface(n, ops.full_width(level)), _snapshot_path(snapshot_dir, n))
+    del spare  # released before the full-width copy of the last level
+    return _level_surface(tgrid.N, ops.full_width(level))
 
 
 def _snapshot_path(snapshot_dir, n: int):

@@ -282,3 +282,17 @@ def test_iterative_solver_flag(capsys):
         ]
     )
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_a_tolerance_for_the_direct_solver_is_a_configuration_error_naming_the_flag(tmp_path, capsys, source):
+    run = ["--study", "single", "--h", "0.25", "--tau", "0.125", "--iota", "0.125"]
+    if source == "flags":
+        args = run + ["--solver", "direct", "--solver-tol", "1e-8"]
+    else:
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("solver = direct\nsolver-tol = 1e-8\n")
+        args = run + ["--config", str(cfg)]
+    assert cli_main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--solver-tol" in captured.err and captured.out == ""

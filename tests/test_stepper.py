@@ -2,11 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from pbemoc import fem, stepper
 from pbemoc.characteristics import CflViolationError, LGrid, TimeGrid
 from pbemoc.fem import PANEL, FieldSlice, SolveFailure, SolverConfig
-from pbemoc.mesh import UNIT_SQUARE, build_structured_mesh, quadrature_rule, reference_basis
+from pbemoc.mesh import UNIT_SQUARE, Rectangle, build_structured_mesh, quadrature_rule, reference_basis
 from pbemoc.pipeline import PipelineError, run_pipeline
 from pbemoc.stepper import (
     ProblemSpec,
@@ -399,11 +401,26 @@ def test_step_slice_matches_dense_oracle(mms):
 
 
 def per_slice_level(ops, n, prev):
-    """Level n rows 1..M by the per-slice oracle, from the level-(n-1) rows."""
-    return np.stack([
+    """Free-DOF level n rows 1..M by the per-slice oracle, from the all-DOF
+    level-(n-1) rows; the oracle's rows are exactly zero at the boundary."""
+    level = np.stack([
         oracles.advance_slice_reference(ops, n, m, prev[m - 1], prev[m])
         for m in range(1, prev.shape[0])
     ])
+    assert_zero_boundary(level, ops.boundary_idx)
+    return level[:, ops.free]
+
+
+def assert_zero_boundary(rows, boundary):
+    """Every boundary entry of every row is 0.0 bit for bit, so not -0.0."""
+    assert rows[:, boundary].tobytes() == bytes(rows[:, boundary].nbytes)
+
+
+def zero_boundary_level(mesh, rows, seed):
+    """Random all-DOF rows with exact zeros at the boundary DOFs, as every level has."""
+    level = np.random.default_rng(seed).normal(size=(rows, mesh.num_nodes))
+    level[:, mesh.boundary_mask] = 0.0
+    return level
 
 
 def with_plain_source(problem):
@@ -416,14 +433,15 @@ def test_advance_block_matches_per_slice_oracle_bitwise(mms, order):
     # the separable load path and the per-slice source path alike
     M, n = 12, 3
     mesh, basis, lgrid, tgrid = small_setup(M=M, N=M, order=order)
-    prev = np.random.default_rng(order).normal(size=(M + 1, mesh.num_nodes))
+    prev = zero_boundary_level(mesh, M + 1, order)
     for problem in (mms, with_plain_source(mms)):
         ops = precompute_operators(mesh, basis, problem, tgrid.tau, lgrid)
         expected = per_slice_level(ops, n, prev)
+        rows = prev[:, ops.free]
         for m0 in (1, 2, 5, M):
             for k in range(1, M - m0 + 2):
-                out = np.empty((k, mesh.num_nodes))
-                advance_block(ops, n, prev[m0 - 1], prev[m0:m0 + k], m0, out)
+                out = np.empty((k, ops.free.size))
+                advance_block(ops, n, rows[m0 - 1], rows[m0:m0 + k], m0, out)
                 assert out.tobytes() == expected[m0 - 1:m0 - 1 + k].tobytes(), (m0, k)
 
 
@@ -433,14 +451,15 @@ def test_advance_block_across_chunks_matches_per_slice_oracle_bitwise(mms, order
     M, n = 1400, 2
     mesh = build_structured_mesh(UNIT_SQUARE, 0.5, order)
     lgrid = LGrid(0.0, 1.0, M)
-    prev = np.random.default_rng(10 + order).normal(size=(M + 1, mesh.num_nodes))
+    prev = zero_boundary_level(mesh, M + 1, 10 + order)
     for problem in (mms, with_plain_source(mms)):
         ops = precompute_operators(mesh, reference_basis(order), problem, 0.5 / M, lgrid)
         assert M > PANEL and M % PANEL != 0
         expected = per_slice_level(ops, n, prev)
+        rows = prev[:, ops.free]
         for m0 in (1, 3):
-            out = np.empty((M - m0 + 1, mesh.num_nodes))
-            advance_block(ops, n, prev[m0 - 1], prev[m0:], m0, out)
+            out = np.empty((M - m0 + 1, ops.free.size))
+            advance_block(ops, n, rows[m0 - 1], rows[m0:], m0, out)
             assert out.tobytes() == expected[m0 - 1:].tobytes()
 
 
@@ -473,15 +492,15 @@ def test_separable_source_pointwise_matches_its_loads():
     source = three_field_source()
     spec = separable_spec(source)
     ops = precompute_operators(mesh, basis, spec, tgrid.tau, lgrid)
-    # the step operator's last J columns are the field loads
-    field_loads = ops.step[:, mesh.num_nodes :].toarray().T
-    assert field_loads.tobytes() == np.stack([ops.load.assemble(s) for s in source.fields]).tobytes()
+    # the step operator's last J columns are the field loads on the free DOFs
+    field_loads = ops.step[:, ops.free.size :].toarray().T
+    assert field_loads.tobytes() == np.stack([ops.load.assemble(s)[ops.free] for s in source.fields]).tobytes()
     for n in (1, 4):
         t = n * tgrid.tau
         for m in range(1, lgrid.M + 1):
             pointwise = ops.load.assemble_values(
                 source(t, float(lgrid.nodes[m]), ops.load.x, ops.load.y)
-            )
+            )[ops.free]
             separated = sum(
                 (source.time_factor(t) * a[m]) * field_load
                 for a, field_load in zip(ops.source_factors, field_loads)
@@ -489,7 +508,10 @@ def test_separable_source_pointwise_matches_its_loads():
             assert np.abs(separated - pointwise).max() <= 1e-13 * np.abs(pointwise).max()
     # a step with the separated loads against one with the source evaluated per slice
     plain_ops = precompute_operators(mesh, basis, with_plain_source(spec), tgrid.tau, lgrid)
-    assert plain_ops.source_factors is None and plain_ops.step is plain_ops.mass
+    free = plain_ops.free
+    assert plain_ops.source_factors is None
+    # the plain step operator is the unscaled mass matrix on free rows and columns
+    assert plain_ops.step.toarray().tobytes() == plain_ops.mass.toarray()[np.ix_(free, free)].tobytes()
     surface = initialize(mesh, basis, spec, lgrid, ops)
     for m in range(1, lgrid.M + 1):
         got = step_slice(surface, m, 1, ops).values
@@ -529,9 +551,9 @@ def test_dyadic_step_is_bitwise_the_scaled_mass_product_plus_loads(order):
     tau = 2.0 ** -6
     source = three_field_source()
     ops = precompute_operators(mesh, basis, separable_spec(source), tau, lgrid)
-    prev = np.random.default_rng(order).normal(size=(M + 1, mesh.num_nodes))
-    out = np.empty((M, mesh.num_nodes))
-    advance_block(ops, n, prev[0], prev[1:], 1, out)
+    prev = zero_boundary_level(mesh, M + 1, order)
+    out = np.empty((M, ops.free.size))
+    advance_block(ops, n, prev[0, ops.free], prev[1:, ops.free], 1, out)
     c_t = source.time_factor(n * tau)
     for m in range(1, M + 1):
         alpha = float(ops.alphas[m])
@@ -539,7 +561,7 @@ def test_dyadic_step_is_bitwise_the_scaled_mass_product_plus_loads(order):
         for a, s in zip(ops.source_factors, source.fields):
             rhs = rhs + (c_t * a[m]) * ops.load.assemble(s)
         rhs[ops.boundary_idx] = 0.0
-        assert out[m - 1].tobytes() == ops.solve_system(rhs).tobytes(), m
+        assert out[m - 1].tobytes() == ops.solve_system(rhs)[ops.free].tobytes(), m
 
 
 def test_field_loads_with_exact_zeros_match_the_oracle_bitwise():
@@ -552,13 +574,14 @@ def test_field_loads_with_exact_zeros_match_the_oracle_bitwise():
         (lambda x, y: np.where(x < 0.5, 0.0, sines(x, y)), zeros, sines),
     )
     ops = precompute_operators(mesh, basis, separable_spec(source), tgrid.tau, lgrid)
-    field_loads = ops.step[:, mesh.num_nodes :].toarray()
-    assert (field_loads == 0.0).sum() > mesh.num_nodes and (field_loads != 0.0).any()
-    assert ops.step.nnz == ops.mass.nnz + 3 * mesh.num_nodes
-    prev = np.random.default_rng(4).normal(size=(lgrid.M + 1, mesh.num_nodes))
+    free = ops.free
+    field_loads = ops.step[:, free.size :].toarray()
+    assert (field_loads == 0.0).sum() > free.size and (field_loads != 0.0).any()
+    assert ops.step.nnz == ops.mass[free][:, free].nnz + 3 * free.size
+    prev = zero_boundary_level(mesh, lgrid.M + 1, 4)
     for n in (1, 5):
-        out = np.empty((lgrid.M, mesh.num_nodes))
-        advance_block(ops, n, prev[0], prev[1:], 1, out)
+        out = np.empty((lgrid.M, free.size))
+        advance_block(ops, n, prev[0, free], prev[1:, free], 1, out)
         assert out.tobytes() == per_slice_level(ops, n, prev).tobytes()
 
 
@@ -623,11 +646,13 @@ def test_run_sequential_solves_once_per_slice(mms, monkeypatch):
     ops._solver._lu = lu = RecordingLU(ops._solver._lu)
     monkeypatch.setattr(stepper, "precompute_operators", lambda *args: ops)
     out = run_sequential(mms, mesh, basis, lgrid, tgrid)
-    # one block per chunk, the chunks' rows the level's slices, so each slice once
-    assert blocks == [(PANEL, mesh.num_nodes), (lgrid.M - PANEL, mesh.num_nodes)] * tgrid.N
+    # one block per chunk, the chunks' rows the level's slices, so each slice
+    # once, over the free DOFs
+    nfree = ops.free.size
+    assert blocks == [(PANEL, nfree), (lgrid.M - PANEL, nfree)] * tgrid.N
     assert sum(rows for rows, _ in blocks) == lgrid.M * tgrid.N
     # one SuperLU call per chunk, each exactly PANEL right-hand sides wide
-    assert set(lu.shapes) == {(mesh.num_nodes, PANEL)}
+    assert set(lu.shapes) == {(nfree, PANEL)}
     assert len(lu.shapes) == len(blocks) == tgrid.N * -(-lgrid.M // PANEL)
     monkeypatch.undo()
     plain = run_sequential(mms, mesh, basis, lgrid, tgrid)
@@ -926,3 +951,159 @@ def test_snapshot_export(tmp_path, mms):
     assert int(m) == lgrid.M
     assert int(idx) == mesh.num_nodes - 1
     assert float(value) == surface.slices[-1].values[-1]
+
+
+# ---------------------------------------------------------------------------
+# the free unknowns: a run steps only the non-Dirichlet DOFs
+
+
+def eliminated_reference_factor(matrix):
+    """SuperLU on an all-DOF matrix with the direct solver's options: the
+    symmetric-mode minimum-degree factor, or the default factor when a pivot
+    leaves the diagonal.  Returns the factor and whether it fell back."""
+    A = sp.csc_matrix(matrix)
+    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+    if np.array_equal(lu.perm_r, lu.perm_c):
+        return lu, False
+    return spla.splu(A), True
+
+
+# (order, h, epsilon, b, tau, fallback): the benchmark problem on three P1 and
+# three P2 meshes, and a convection-dominated system whose factor falls back
+# to the default ordering
+FREE_SOLVE_CASES = [
+    *[(1, h, None, None, 1.0 / 64, False) for h in (1 / 8, 1 / 16, 1 / 32)],
+    *[(2, h, None, None, 2.0**-9, False) for h in (1 / 4, 1 / 8, 1 / 16)],
+    (2, 1 / 16, 1e-3, (100.0, 60.0), 1.0, True),
+]
+
+
+@pytest.mark.parametrize(
+    "order, h, epsilon, b, tau, fallback",
+    FREE_SOLVE_CASES,
+    ids=[f"p{c[0]}-h{round(1 / c[1])}" + ("-fallback" if c[5] else "") for c in FREE_SOLVE_CASES],
+)
+def test_free_step_solve_is_bitwise_the_eliminated_system_solve(mms, order, h, epsilon, b, tau, fallback):
+    # the step factor is taken on the free block of the eliminated system; on
+    # the free rows it must give the bytes of SuperLU on the whole eliminated
+    # system, for a panel of PANEL columns and for a single column, which the
+    # solver pads to a panel
+    mesh = build_structured_mesh(mms.domain, h, order)
+    spec = mms if epsilon is None else make_spec(epsilon=epsilon, b=b, G=lambda l: 0.25 + 0.0 * l)
+    lgrid = mms.lgrid(64) if epsilon is None else LGrid(0.0, 1.0, 4)
+    ops = precompute_operators(mesh, reference_basis(order), spec, tau, lgrid)
+    lu, fell_back = eliminated_reference_factor(fem.apply_dirichlet(ops.system, mesh.boundary_mask))
+    assert fell_back == fallback
+    free, boundary = ops.free, ops.boundary_idx
+    rows = zero_boundary_level(mesh, PANEL, order)
+    single = np.zeros_like(rows)
+    single[0] = rows[0]
+    for panel, got_rows in ((rows, ops.solve_system(rows)), (single, ops.solve_system(rows[0])[None, :])):
+        want = lu.solve(np.asfortranarray(panel.T)).T[: len(got_rows)]
+        assert not want[:, boundary].any()
+        assert got_rows[:, free].tobytes() == want[:, free].tobytes()
+        assert_zero_boundary(got_rows, boundary)
+    # free-DOF rows, as the kernel passes them, get the same bytes
+    assert ops.solve_system(rows[:, free]).tobytes() == ops.solve_system(rows)[:, free].tobytes()
+    assert ops.solve_system(rows[0, free]).tobytes() == ops.solve_system(rows[0])[free].tobytes()
+
+
+def test_solve_system_rejects_rows_of_another_width(mms):
+    mesh, basis, lgrid, tgrid = small_setup()
+    ops = precompute_operators(mesh, basis, mms, tgrid.tau, lgrid)
+    with pytest.raises(ValueError, match=f"expected {ops.free.size} free DOFs or {mesh.num_nodes} DOFs"):
+        ops.solve_system(np.zeros((2, mesh.num_nodes + 1)))
+
+
+SHIFTED = Rectangle(-0.5, 1.5, 0.25, 1.25)  # 2 wide, 1 high, off the origin
+
+
+def shifted_angles(x, y):
+    return np.pi * (x - SHIFTED.x0) / SHIFTED.width, np.pi * (y - SHIFTED.y0) / SHIFTED.height
+
+
+def shifted_bump(x, y):
+    """A field on SHIFTED that vanishes on its boundary."""
+    ax, ay = shifted_angles(x, y)
+    return np.sin(ax) * np.sin(ay)
+
+
+def shifted_bump_grad(x, y):
+    ax, ay = shifted_angles(x, y)
+    return (
+        np.pi / SHIFTED.width * np.cos(ax) * np.sin(ay),
+        np.pi / SHIFTED.height * np.sin(ax) * np.cos(ay),
+    )
+
+
+def untested_inputs_spec(l_min):
+    """A plain (not separable) source, an inflow that changes with time and
+    vanishes on the spatial boundary, and initial data that equal it at
+    t = 0, l = l_min."""
+    def amplitude(t):
+        return 1.0 + np.sin(3.0 * t)
+
+    def growth(l):
+        return np.asarray(0.5 + 0.25 * (l - l_min), dtype=float)
+
+    return make_spec(
+        epsilon=0.5,
+        b=(0.75, -0.5),
+        G=growth,
+        f=lambda t, l, x, y: (1.0 + t) * (2.0 - l) * shifted_bump(x, y) + 0.25 * np.cos(x * y + t),
+        z_init=lambda l, x, y: (1.0 + 2.0 * (l - l_min)) * shifted_bump(x, y),
+        z_init_grad=lambda l, x, y: tuple((1.0 + 2.0 * (l - l_min)) * g for g in shifted_bump_grad(x, y)),
+        z_bdry=lambda t, x, y: amplitude(t) * shifted_bump(x, y),
+        z_bdry_grad=lambda t, x, y: tuple(amplitude(t) * g for g in shifted_bump_grad(x, y)),
+    )
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_untested_inputs_keep_the_drivers_and_the_per_slice_api_bitwise_equal(order, tmp_path):
+    # the inputs no benchmark workload has: a plain source, whose load is
+    # assembled per slice and taken on the free rows; a time-dependent nonzero
+    # inflow, whose projection is gathered to the free rows at every level; a
+    # non-unit domain; and an internal interval other than [0, 1]
+    l_min = 0.5
+    mesh = build_structured_mesh(SHIFTED, 0.25, order)
+    basis = reference_basis(order)
+    lgrid, tgrid = LGrid(l_min, 2.0, 6), TimeGrid(1.0, 8)
+    spec = untested_inputs_spec(l_min)
+    assert not isinstance(spec.f, SeparableSource)
+    boundary = mesh.boundary_mask
+
+    N = tgrid.N
+    seq = run_sequential(spec, mesh, basis, lgrid, tgrid, snapshot_steps=(0, N - 1, N), snapshot_dir=tmp_path)
+    surface = seq.as_matrix()
+    assert np.isfinite(surface).all() and np.abs(surface).max() > 0.1
+    assert_zero_boundary(surface, boundary)
+    snapshots = {n: read_level(tmp_path / f"surface_n{n:05d}.txt", surface.shape) for n in (0, N - 1, N)}
+    for level in snapshots.values():
+        assert_zero_boundary(level, boundary)
+    assert snapshots[N].tobytes() == surface.tobytes()
+
+    # the last level against the per-slice oracle and the inflow projection at t = N tau
+    ops = precompute_operators(mesh, basis, spec, tgrid.tau, lgrid)
+    assert surface[1:, ops.free].tobytes() == per_slice_level(ops, N, snapshots[N - 1]).tobytes()
+    inflow_n = ops.projector.project(
+        lambda x, y: spec.z_bdry(N * tgrid.tau, x, y), lambda x, y: spec.z_bdry_grad(N * tgrid.tau, x, y)
+    )
+    assert surface[0].tobytes() == inflow_n.tobytes()
+
+    for P in (1, 2, 3):
+        run = run_pipeline(spec, mesh, basis, lgrid, tgrid, P)
+        assert run.surface.as_matrix().tobytes() == surface.tobytes(), P
+        assert run.messages_sent == (P - 1) * N
+
+    # the per-slice API, slice by slice, gets the kernel's bytes at every level
+    level = initialize(mesh, basis, spec, lgrid, ops)
+    assert_zero_boundary(level.as_matrix(), boundary)
+    inflow = []
+    for n in range(1, N + 1):
+        slices = [boundary_slice(n, tgrid, mesh, basis, spec, ops)]
+        slices += [step_slice(level, m, n, ops) for m in range(1, lgrid.M + 1)]
+        level = SolutionSurface(n, tuple(slices))
+        assert_zero_boundary(level.as_matrix(), boundary)
+        inflow.append(slices[0].values)
+    assert level.as_matrix().tobytes() == surface.tobytes()
+    assert not np.array_equal(inflow[0], inflow[-1])  # the inflow does change with time
