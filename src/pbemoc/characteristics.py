@@ -1,11 +1,12 @@
-"""Discretization of (time x internal coordinate): grids, the step-size
-stability bound, the table of foot weights, and slice interpolation.
+"""Discretization of (time x internal coordinate): grids, the stability
+gate, the table of foot weights, and slice interpolation.
 
 The transport part is integrated along characteristics: the value carried to
 node l_m at the new time level comes from the foot l_m - tau*G(l_m) at the
 previous level, interpolated linearly between the two neighbouring internal
-nodes.  The stability bound tau <= iota / max G keeps every foot inside the
-cell to the left of its node.
+nodes.  Every run gates on tau*G(l_m) <= iota at the nodes (foot_weights),
+which keeps every foot inside the cell to the left of its node; check_cfl
+only reports the paper's bound tau <= iota / max G over the whole interval.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ __all__ = [
     "combine_backtraced",
 ]
 
-# slack for the foot-inside-cell check; absorbs rounding, not genuine violations
-FOOT_TOL = 1e-14
+# slack of the foot check in ulps of the largest |l|: the rounding of a foot at
+# the exact bound tau*G = iota reaches 1.5 ulps, a genuine violation more
+FOOT_ULPS = 4
 
 CFL_SAMPLES = 4096
 
@@ -109,10 +111,11 @@ def _growth_at(G: Callable, ell: np.ndarray) -> np.ndarray:
 
 
 def check_cfl(tau: float, lgrid: LGrid, G: Callable) -> CflCheck:
-    """Check tau <= iota / max G, with max G estimated on CFL_SAMPLES cells.
+    """Report tau <= iota / max G, with max G estimated on CFL_SAMPLES cells.
 
-    The growth rate must be nonnegative everywhere; where it is zero the
-    transport is a no-op.
+    Runs do not read it: they gate on the nodes (foot_weights).  A negative
+    sampled growth rate raises ValueError; where it is zero the transport is
+    a no-op.
     """
     vals = _growth_at(G, np.linspace(lgrid.l_min, lgrid.l_max, CFL_SAMPLES + 1))
     bad = vals < 0.0
@@ -132,13 +135,16 @@ def foot_weights(tau: float, lgrid: LGrid, G: Callable) -> np.ndarray:
     """The (M+1,) foot weights alpha_m = (l_m - foot_m)/iota, foot_m = l_m - tau*G(l_m),
     with alpha_0 = 0 at the inflow node, which has no foot.
 
-    Raises CflViolationError at the first node whose foot is not finite or
-    leaves the cell to its left.
+    Raises CflViolationError, the stability gate of every run, at the first
+    node whose foot is not finite or leaves the cell to its left by more
+    than FOOT_ULPS ulps of the largest |l|: tau*G(l_m) must lie in [0, iota].
     """
     nodes = lgrid.nodes
-    feet = nodes[1:] - tau * _growth_at(G, nodes[1:])
-    below = ~(feet >= nodes[:-1] - FOOT_TOL)  # NaN fails this test, not the reverse one
-    right = feet > nodes[1:] + FOOT_TOL
+    growth = _growth_at(G, nodes[1:])
+    feet = nodes[1:] - tau * growth
+    slack = FOOT_ULPS * np.spacing(max(abs(lgrid.l_min), abs(lgrid.l_max)))
+    below = ~(feet >= nodes[:-1] - slack)  # NaN fails this test, not the reverse one
+    right = feet > nodes[1:] + slack
     bad = np.flatnonzero(below | right)
     if bad.size:
         i = int(bad[0])
@@ -146,7 +152,8 @@ def foot_weights(tau: float, lgrid: LGrid, G: Callable) -> np.ndarray:
         if below[i]:
             raise CflViolationError(
                 f"characteristic foot {foot:.17g} of slice m={m} falls below the "
-                f"neighbouring node {float(nodes[i]):.17g}; the stability bound was bypassed"
+                f"neighbouring node {float(nodes[i]):.17g}; the stability bound "
+                f"tau*G(l_m) = {tau * float(growth[i]):.17g} <= iota = {lgrid.iota:.17g} fails"
             )
         raise CflViolationError(
             f"characteristic foot {foot:.17g} of slice m={m} lies right of its "

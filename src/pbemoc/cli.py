@@ -68,7 +68,7 @@ def _count_list(text: str) -> tuple[int, ...]:
 
 def _mesh_levels(text: str) -> tuple[float, ...]:
     """Exponents k1,k2,... as the mesh sizes 2^-k."""
-    return tuple(2.0 ** -_int(k) for k in text.split(","))
+    return tuple(2.0 ** -k for k in _int_list(text))
 
 
 def _build_parser() -> argparse.ArgumentParser:

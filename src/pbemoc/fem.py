@@ -41,7 +41,7 @@ __all__ = [
     "ErrorEvaluator",
 ]
 
-# boundary-trace tolerance for data fed into the zero-boundary projection
+# boundary-trace tolerance of the zero-boundary projection, times its largest load if above 1
 TRACE_TOL = 1e-12
 
 # right-hand sides per SuperLU call.  A column's bytes can depend on how many
@@ -386,8 +386,9 @@ class RitzProjector:
 
     project(g, g_grad) returns the coefficients of the FE function whose
     gradient matches grad g against every test function; g must vanish on the
-    domain boundary (checked at boundary nodes).  stiffness is the unit
-    diffusion matrix before elimination; loads assembles the gradient loads.
+    domain boundary (checked at boundary nodes, relative to the gradient load
+    of large data).  stiffness is the unit diffusion matrix before
+    elimination; loads assembles the gradient loads.
     The projector keeps its last right-hand side and solution, and a
     right-hand side equal to the last one bit for bit, such as that of a
     time-independent inflow at every time level, gets a copy of that
@@ -411,12 +412,11 @@ class RitzProjector:
 
     def project(self, g: Callable, g_grad: Callable) -> np.ndarray:
         trace = np.max(np.abs(np.asarray(g(self._bx, self._by), dtype=float)))
-        if not trace <= TRACE_TOL:  # NaN fails this test, not the reverse one
+        rhs = np.where(self._interior, self._loads.assemble_gradient(g_grad), 0.0)
+        if not trace <= TRACE_TOL * max(1.0, rhs.max(), -rhs.min()):  # NaN fails; max(1, nan) = 1
             raise ValueError(
                 f"projected data must vanish on the boundary; found trace {trace:.3e}"
             )
-        rhs = self._loads.assemble_gradient(g_grad)
-        rhs = np.where(self._interior, rhs, 0.0)
         key = rhs.tobytes()  # bit for bit: -0.0 and 0.0 may solve to different bytes
         if key != self._last_key:
             self._last_key, self._last_solution = key, self._solver.solve(rhs)

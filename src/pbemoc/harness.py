@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .characteristics import CflViolationError, LGrid, TimeGrid, check_cfl
+from .characteristics import CflViolationError, LGrid, TimeGrid, foot_weights
 from .fem import ErrorEvaluator, SolverConfig
 from .mesh import Rectangle, UNIT_SQUARE, build_structured_mesh, reference_basis
 from .pipeline import PipelineRun, ScalingRow, run_pipeline, timing_report
@@ -267,13 +267,14 @@ def run_single(
 
 
 def _precheck_cfl(problem: MMSProblem, levels, coupling: str, T: float) -> None:
-    """Build every level's grids and check its stability bound before any level runs."""
+    """Apply every level's stability gate (foot_weights) before any level runs."""
     rule = COUPLINGS[coupling]
     for h in levels:
         lgrid, tgrid = _grids_for(problem, *rule(h), T)
-        report = check_cfl(tgrid.tau, lgrid, problem.G)
-        if not report.passed:
-            raise CflViolationError(f"level h={h}: {report.describe()}")
+        try:
+            foot_weights(tgrid.tau, lgrid, problem.G)
+        except CflViolationError as exc:
+            raise CflViolationError(f"level h={h}: {exc}") from None
 
 
 def convergence_study(config: StudyConfig, problem: MMSProblem | None = None) -> list[ConvergenceRow]:

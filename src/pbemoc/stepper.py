@@ -61,13 +61,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .characteristics import (
-    CflViolationError,
-    LGrid,
-    TimeGrid,
-    check_cfl,
-    foot_weights,
-)
+from .characteristics import LGrid, TimeGrid, foot_weights
 from .fem import (
     PANEL,
     FieldSlice,
@@ -196,6 +190,9 @@ class Operators:
     ):
         if tau <= 0.0:
             raise ValueError(f"step size must be positive, got {tau}")
+        # the stability gate, before any assembly; the weights are time-independent like G
+        self.alphas = foot_weights(tau, lgrid, spec.G)
+        self.beta = 1.0 - self.alphas  # weight of the same-index slice
         self.spec = spec
         self.tau = tau
         self.lgrid = lgrid
@@ -224,9 +221,6 @@ class Operators:
             )
         else:
             self.step = self.mass[free][:, free]
-        # the foot weights are time-independent because G does not depend on t
-        self.alphas = foot_weights(tau, lgrid, spec.G)
-        self.beta = 1.0 - self.alphas  # weight of the same-index slice
         # chunk buffers of advance_block, one column per slice of a chunk of
         # PANEL slices: the operand of the step operator and the blend's
         # same-index term
@@ -490,11 +484,8 @@ def _prepare(
     tgrid: TimeGrid,
     solver_config: SolverConfig | None,
 ) -> Operators:
-    """Preamble of both drivers: the stability and t=0 compatibility checks,
-    then the operators, whose projector also builds level 0."""
-    cfl = check_cfl(tgrid.tau, lgrid, spec.G)
-    if not cfl.passed:
-        raise CflViolationError(cfl.describe())
+    """Preamble of both drivers: the t=0 compatibility check, then the
+    operators, which gate on stability first and whose projector builds level 0."""
     _check_compatibility(spec, mesh, lgrid)
     return precompute_operators(mesh, basis, spec, tgrid.tau, lgrid, solver_config)
 

@@ -235,3 +235,15 @@ def test_combine_rejects_alpha_outside_unit_interval():
     s = make_slice([1.0])
     with pytest.raises(ValueError, match="weight"):
         combine_backtraced(s, s, 1.5)
+
+
+@pytest.mark.parametrize("g", [LGrid(0.0, 1.0, 64), LGrid(0.0, 1000.0, 97), LGrid(1000.0, 2000.0, 96)], ids=str)
+def test_foot_weights_accept_the_exact_bound_at_any_magnitude(g):
+    # G = 1 and tau = iota put each foot on its left node up to an ulp of the
+    # nodes; a step longer by one part in 1e9 is a genuine violation
+    G = lambda l: 1.0
+    assert check_cfl(g.iota, g, G).passed
+    alphas = foot_weights(g.iota, g, G)
+    np.testing.assert_allclose(alphas[1:], 1.0, rtol=0.0, atol=1e-12)
+    with pytest.raises(CflViolationError, match=r"m=1 falls below .*; the stability bound tau\*G\(l_m\) = \S+ <= iota = \S+ fails$"):
+        foot_weights(g.iota * (1.0 + 1e-9), g, G)

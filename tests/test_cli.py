@@ -296,3 +296,10 @@ def test_a_tolerance_for_the_direct_solver_is_a_configuration_error_naming_the_f
     assert cli_main(args) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "--solver-tol" in captured.err and captured.out == ""
+
+
+def test_list_flags_skip_empty_entries():
+    args = _parse(_build_parser(), ["--levels", "2,3,", "--workers", "1,2,", "--snapshots", "0,4,"])
+    assert args.levels == (0.25, 0.125)
+    assert args.workers == (1, 2)
+    assert args.snapshots == (0, 4)

@@ -194,6 +194,21 @@ def test_study_rejects_a_level_whose_grids_do_not_divide_before_any_run(mms, mon
     assert calls == []
 
 
+def test_study_precheck_applies_the_run_gate_and_names_level_and_slice(mms, monkeypatch):
+    # G is 1 at the nodes of h = 0.5 and 2 at l = 0.25, a node of h = 0.25 only
+    import dataclasses
+
+    from pbemoc import harness
+
+    calls = []
+    monkeypatch.setattr(harness, "run_single", lambda *args, **kwargs: calls.append(args))
+    bumpy = dataclasses.replace(mms, G=lambda l: 1.0 + np.sin(2.0 * np.pi * l) ** 2)
+    config = StudyConfig(element_order=1, levels=(0.5, 0.25), coupling="equal")
+    with pytest.raises(CflViolationError, match=r"^level h=0.25: .* of slice m=1 falls below"):
+        convergence_study(config, bumpy)
+    assert calls == []
+
+
 def test_study_accepts_the_zero_growth_the_runs_accept(mms):
     import dataclasses
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -1107,3 +1108,99 @@ def test_untested_inputs_keep_the_drivers_and_the_per_slice_api_bitwise_equal(or
         inflow.append(slices[0].values)
     assert level.as_matrix().tobytes() == surface.tobytes()
     assert not np.array_equal(inflow[0], inflow[-1])  # the inflow does change with time
+
+
+# ---------------------------------------------------------------------------
+# the stability gate: the per-node foot check of foot_weights
+
+
+def test_check_cfl_is_never_reached_by_a_run_or_a_study(mms, monkeypatch):
+    # check_cfl is a report; the runs and the study pre-check gate on the nodes
+    import pbemoc
+    from pbemoc import characteristics, harness, pipeline
+    from pbemoc.harness import StudyConfig, convergence_study
+
+    def sampled_gate(*args):
+        raise AssertionError("check_cfl was called")
+
+    for module in (pbemoc, characteristics, stepper, pipeline, harness):
+        monkeypatch.setattr(module, "check_cfl", sampled_gate, raising=False)
+    mesh, basis, lgrid, tgrid = small_setup(h=0.5, M=4, N=4)
+    precompute_operators(mesh, basis, mms, tgrid.tau, lgrid)
+    surface = run_sequential(mms, mesh, basis, lgrid, tgrid).as_matrix()
+    assert run_pipeline(mms, mesh, basis, lgrid, tgrid, 2).surface.as_matrix().tobytes() == surface.tobytes()
+    assert len(convergence_study(StudyConfig(levels=(0.5,), coupling="equal"), mms)) == 1
+
+
+@pytest.mark.parametrize(
+    "G, message",
+    [(lambda l: 1.0, "slice m=1 falls below"), (lambda l: np.where(l > 0.6, -1.0, 0.5), "slice m=3 lies right")],
+    ids=["too fast", "negative"],
+)
+def test_a_node_violation_raises_before_any_assembly(monkeypatch, G, message):
+    mesh, basis, _, _ = small_setup()
+    lgrid, tgrid = LGrid(0.0, 1.0, 4), TimeGrid(2.0, 4)  # tau = 2 iota
+    spec = make_spec(G=G)
+    assembled = []
+    monkeypatch.setattr(stepper, "_run_operators", lambda *args: assembled.append(args))
+    runs = {
+        "operators": lambda: precompute_operators(mesh, basis, spec, tgrid.tau, lgrid),
+        "sequential": lambda: run_sequential(spec, mesh, basis, lgrid, tgrid),
+        "pipeline": lambda: run_pipeline(spec, mesh, basis, lgrid, tgrid, 2),
+    }
+    for name, run in runs.items():
+        with pytest.raises(CflViolationError, match=message):
+            run()
+        assert assembled == [], name
+
+
+def test_growth_peaking_between_nodes_runs_in_both_drivers(mms):
+    # G is 1 at the nodes, where the scheme samples it, and 3 between them
+    from pbemoc.characteristics import check_cfl
+
+    mesh, basis, lgrid, tgrid = small_setup(h=0.25, M=6, N=6)  # tau = iota
+    spec = dataclasses.replace(mms, G=lambda l: 1.0 + 2.0 * np.sin(np.pi * lgrid.M * l) ** 2)
+    assert tgrid.tau == lgrid.iota and np.all(spec.G(lgrid.nodes) == 1.0)
+    assert check_cfl(tgrid.tau, lgrid, spec.G).ratio > 2.9
+    surface = run_sequential(spec, mesh, basis, lgrid, tgrid).as_matrix()
+    assert np.isfinite(surface).all() and np.abs(surface).max() > 0.1
+    for P in (1, 2, 3):
+        assert run_pipeline(spec, mesh, basis, lgrid, tgrid, P).surface.as_matrix().tobytes() == surface.tobytes(), P
+
+
+@pytest.mark.parametrize("lgrid", [LGrid(0.0, 1.0, 8), LGrid(0.0, 1000.0, 97), LGrid(1000.0, 2000.0, 96)], ids=str)
+def test_runs_at_the_exact_bound_complete_away_from_zero(lgrid):
+    # G = 1 and tau = iota: the feet are the left nodes up to rounding, which
+    # on [0, 1000] and [1000, 2000] is an ulp of the nodes, above 1e-14
+    mesh = build_structured_mesh(UNIT_SQUARE, 0.5, 1)
+    tgrid = TimeGrid(2.0 * lgrid.iota, 2)
+    assert tgrid.tau == lgrid.iota
+    spec = make_spec(G=lambda l: 1.0, f=lambda t, l, x, y: sines(x, y))
+    surface = run_sequential(spec, mesh, P1, lgrid, tgrid).as_matrix()
+    assert np.isfinite(surface).all() and np.abs(surface).max() > 0.0
+    assert run_pipeline(spec, mesh, P1, lgrid, tgrid, 2).surface.as_matrix().tobytes() == surface.tobytes()
+
+
+@pytest.mark.parametrize("S", [1e5, 1e10])
+def test_large_data_that_vanishes_on_the_boundary_to_rounding_is_projected(mms, S):
+    # the data's trace is S times a rounding error of sin(pi), above TRACE_TOL
+    mesh, basis, lgrid, tgrid = small_setup(h=0.25, M=4, N=4)
+    x, y = mesh.nodes[mesh.boundary_mask].T
+    assert np.abs(S * mms.z_init(0.5, x, y)).max() > fem.TRACE_TOL
+    f = mms.f
+    scaled = dataclasses.replace(
+        mms,
+        f=SeparableSource(lambda t: S * f.time_factor(t), f.l_factors, f.fields),
+        z_init=lambda l, x, y: S * mms.z_init(l, x, y),
+        z_init_grad=lambda l, x, y: tuple(S * g for g in mms.z_init_grad(l, x, y)),
+    )
+    base = run_sequential(mms, mesh, basis, lgrid, tgrid).as_matrix()
+    got = run_sequential(scaled, mesh, basis, lgrid, tgrid).as_matrix()
+    assert np.abs(got - S * base).max() <= 1e-12 * S * np.abs(base).max()
+    # a trace of 1 on such data, or NaN, is still rejected as before
+    projector = projection_ops(mesh, basis, scaled, lgrid).projector
+    grad = lambda x, y: scaled.z_init_grad(0.5, x, y)
+    for bad in (1.0, np.nan):
+        message = f"projected data must vanish on the boundary; found trace {bad:.3e}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            projector.project(lambda x, y: scaled.z_init(0.5, x, y) + bad, grad)
