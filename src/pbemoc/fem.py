@@ -6,8 +6,8 @@ polynomial integrands (degree 2k for the bilinear forms) and one order above
 the generic data terms (degree 2k+2 for loads, projections, and norms).  A
 run's operators come from one quadrature per degree, built for that run and
 dropped after it (_run_operators): one LoadAssembler holds both the value
-and the gradient loads, and the projector is built on the unit stiffness and
-that assembler.  A projector can project a family of data
+and the gradient loads, and the projector factors the free (non-boundary)
+block of the unit stiffness and returns free-DOF rows.  A projector can project a family of data
 g(p, x, y) for many parameters p with one evaluation per group of them, and
 still gives each member the bytes of its own projection.
 Matrices are CSR; the direct solver is a sparse LU factorization, which makes
@@ -384,11 +384,11 @@ def make_solver(matrix: sp.spmatrix, config: SolverConfig | None = None):
 class RitzProjector:
     """Projection onto the zero-boundary FE space in the gradient inner product.
 
-    project(g, g_grad) returns the coefficients of the FE function whose
-    gradient matches grad g against every test function; g must vanish on the
-    domain boundary (checked at boundary nodes, relative to the gradient load
-    of large data).  stiffness is the unit diffusion matrix before
-    elimination; loads assembles the gradient loads.
+    project(g, g_grad) returns the free-DOF coefficients of the FE function
+    whose gradient matches grad g against every test function; g must vanish
+    on the domain boundary (checked at boundary nodes, relative to the free
+    gradient load of large data).  stiffness is the all-DOF unit diffusion
+    matrix, matrix its factored free block; loads assembles the gradient loads.
     The projector keeps its last right-hand side and solution, and a
     right-hand side equal to the last one bit for bit, such as that of a
     time-independent inflow at every time level, gets a copy of that
@@ -402,17 +402,19 @@ class RitzProjector:
         loads: LoadAssembler,
         solver_config: SolverConfig | None = None,
     ):
-        self.matrix = apply_dirichlet(stiffness, mesh.boundary_mask)
+        self._interior = ~mesh.boundary_mask
+        # stored zeros dropped, as apply_dirichlet drops them: its free block
+        self.matrix = sp.csr_matrix(stiffness)[self._interior][:, self._interior]
+        self.matrix.eliminate_zeros()
         self._solver = make_solver(self.matrix, solver_config)
         self._loads = loads
         self._bx = mesh.nodes[mesh.boundary_mask, 0]
         self._by = mesh.nodes[mesh.boundary_mask, 1]
-        self._interior = ~mesh.boundary_mask
         self._last_key = self._last_solution = None
 
     def project(self, g: Callable, g_grad: Callable) -> np.ndarray:
         trace = np.max(np.abs(np.asarray(g(self._bx, self._by), dtype=float)))
-        rhs = np.where(self._interior, self._loads.assemble_gradient(g_grad), 0.0)
+        rhs = self._loads.assemble_gradient(g_grad)[self._interior]
         if not trace <= TRACE_TOL * max(1.0, rhs.max(), -rhs.min()):  # NaN fails; max(1, nan) = 1
             raise ValueError(
                 f"projected data must vanish on the boundary; found trace {trace:.3e}"
@@ -422,24 +424,24 @@ class RitzProjector:
             self._last_key, self._last_solution = key, self._solver.solve(rhs)
         return self._last_solution.copy()
 
-    def _project_family(self, g: Callable, g_grad: Callable, params: np.ndarray, out: np.ndarray) -> None:
-        """Fill out[i] with project(g(params[i], x, y), g_grad(params[i], x, y)).
+    def _project_family(self, g: Callable, g_grad: Callable, params: np.ndarray):
+        """Yield project(g(params[i], x, y), g_grad(params[i], x, y)) for each i in turn.
 
         g and g_grad are called once per group of parameters, with the group
         as a (k, 1) column and x, y as 1-D point arrays, so row i of a result
         may depend only on params[i]; a 1-D result is broadcast over the group.
-        A group holds about one solver panel of gradient values.  Each row
+        A group holds about one solver panel of gradient values.  Each member
         then goes through project, so it gets the bytes project gives it.
         """
         loads = self._loads
         nq = loads.x.size
-        group = max(1, PANEL * self.matrix.shape[0] // nq)
+        group = max(1, PANEL * self._interior.size // nq)  # sized by the DOF count
         for s in range(0, len(params), group):
             p = np.asarray(params[s : s + group], dtype=float)[:, None]
             trace = _family_rows(g(p, self._bx, self._by), p.size, self._bx.size)
             gx, gy = (_family_rows(c, p.size, nq) for c in g_grad(p, loads.x, loads.y))
             for i in range(p.size):
-                out[s + i] = self.project(lambda x, y, i=i: trace[i], lambda x, y, i=i: (gx[i], gy[i]))
+                yield self.project(lambda x, y, i=i: trace[i], lambda x, y, i=i: (gx[i], gy[i]))
 
 
 def _family_rows(values, k: int, q: int) -> np.ndarray:

@@ -16,12 +16,12 @@ the bytes of slice-by-slice projections.
 
 A run steps only the free (non-Dirichlet) DOFs, whose values are exactly
 zero on the boundary at every level: a level, a pipeline block and a message
-are (rows, num_free) arrays, and the step factor is taken on the free block
-of the eliminated system (fem.apply_dirichlet), which gives a free row the
-eliminated system's bytes.  Arrays leave a run full width, with exact zeros
-at the boundary DOFs: the returned surface, the snapshots and the per-slice
-API (initialize, boundary_slice, step_slice, and Operators.solve_system
-given all-DOF rows).
+are (rows, num_free) arrays.  Level 0 and the inflow are the projector's
+free-DOF rows, and the step factor is taken on the free block of the system,
+that of the eliminated system (fem.apply_dirichlet), which no run builds.
+Arrays leave a run full width, with exact zeros at the boundary DOFs: the
+returned surface, the snapshots and the per-slice API (initialize,
+boundary_slice, step_slice, and Operators.solve_system given all-DOF rows).
 
 One kernel, advance_block, advances a contiguous block of slices of a level.
 The sequential loop calls it once per level on slices 1..M, each pipeline
@@ -206,8 +206,9 @@ class Operators:
         self.boundary_idx = np.flatnonzero(mesh.boundary_mask)
         self.free = np.flatnonzero(~mesh.boundary_mask)  # the DOFs a run steps
         free = self.free
-        eliminated = apply_dirichlet(self.system, mesh.boundary_mask)
-        self._solver = make_solver(eliminated[free][:, free], solver_config)
+        system = self.system[free][:, free]
+        system.eliminate_zeros()  # the free block of system_bc, whose bytes a free row gets
+        self._solver = make_solver(system, solver_config)
         # the step operator of advance_block on free rows and columns:
         # [M/tau | L_1 ... L_J] for a separable source, with a_j(l_m) as row j
         # of source_factors; M for any other source, whose step scales the
@@ -230,7 +231,7 @@ class Operators:
     @cached_property
     def system_bc(self) -> sp.csr_matrix:
         """The system with its boundary DOFs eliminated (fem.apply_dirichlet),
-        built when first read; the step factor is taken on its free block."""
+        built when first read; no run reads it."""
         return apply_dirichlet(self.system, self._boundary_mask)
 
     def full_width(self, rows: np.ndarray) -> np.ndarray:
@@ -304,33 +305,28 @@ def _check_compatibility(spec: ProblemSpec, mesh: SpatialMesh, lgrid: LGrid) -> 
         )
 
 
-def _project_boundary(projector: RitzProjector, spec: ProblemSpec, t: float) -> np.ndarray:
-    return projector.project(
-        lambda x, y: spec.z_bdry(t, x, y),
-        lambda x, y: spec.z_bdry_grad(t, x, y),
-    )
+def _project_inflow(projector: RitzProjector, spec: ProblemSpec, n: int, t: float) -> np.ndarray:
+    """The free-DOF row of the inflow slice (n, 0): the projection of the inflow data at time t."""
+    return projector.project(lambda x, y: spec.z_bdry(t, x, y), lambda x, y: spec.z_bdry_grad(t, x, y))
 
 
-def _initial_rows(projector: RitzProjector, spec: ProblemSpec, lgrid: LGrid, block: range) -> np.ndarray:
-    """Level-0 values of the slices in block, one row each: the inflow data
-    at m=0, the initial data elsewhere, evaluated for a group of slices per
-    call (RitzProjector._project_family) and projected slice by slice.
+def _initial_level(ops: Operators, block: range) -> np.ndarray:
+    """The free-DOF level-0 rows of the slices in block: the inflow data at
+    m=0, the initial data elsewhere, evaluated for a group of slices per call
+    (RitzProjector._project_family) and projected slice by slice.
 
     The inflow slice is projected last, so a time-independent inflow has the
     projector's last right-hand side at every later level and is not solved
     again."""
-    rows = np.empty((len(block), projector.matrix.shape[0]))
+    spec, projector = ops.spec, ops.projector
+    rows = np.empty((len(block), ops.free.size))
     first = max(block.start, 1)
-    interior = lgrid.nodes[first : block.stop]
-    projector._project_family(spec.z_init, spec.z_init_grad, interior, rows[first - block.start :])
+    members = projector._project_family(spec.z_init, spec.z_init_grad, ops.lgrid.nodes[first : block.stop])
+    for m in range(first, block.stop):
+        rows[m - block.start] = next(members)
     if block.start == 0:
-        rows[0] = _project_boundary(projector, spec, 0.0)
+        rows[0] = _project_inflow(projector, spec, 0, 0.0)
     return rows
-
-
-def _initial_level(ops: Operators, block: range) -> np.ndarray:
-    """The free-DOF level-0 rows of the slices in block."""
-    return _initial_rows(ops.projector, ops.spec, ops.lgrid, block)[:, ops.free]
 
 
 def _level_surface(n: int, level: np.ndarray) -> SolutionSurface:
@@ -345,11 +341,10 @@ def initialize(
     lgrid: LGrid,
     operators: Operators,
 ) -> SolutionSurface:
-    """Level-0 surface: gradient projections of the initial and inflow data,
-    with the projector, and so the solver, of operators."""
+    """Level-0 surface: gradient projections of the initial and inflow data
+    of operators, with its projector and so its solver."""
     _check_compatibility(spec, mesh, lgrid)
-    rows = _initial_rows(operators.projector, spec, lgrid, range(lgrid.M + 1))
-    return _level_surface(0, operators.full_width(rows[:, operators.free]))
+    return _level_surface(0, operators.full_width(_initial_level(operators, range(lgrid.M + 1))))
 
 
 def boundary_slice(
@@ -366,8 +361,8 @@ def boundary_slice(
     The inflow is taken at t = n*tau, the time at which the other slices of
     level n evaluate the source.
     """
-    row = _project_boundary(operators.projector, spec, n * tgrid.tau)
-    return FieldSlice(operators.full_width(row[operators.free]), n=n, m=0)
+    row = _project_inflow(operators.projector, spec, n, n * tgrid.tau)
+    return FieldSlice(operators.full_width(row), n=n, m=0)
 
 
 def advance_block(
@@ -448,7 +443,7 @@ def _advance_level(
     if m0 > 0:
         advance_block(ops, n, left_row, prev, m0, out)
         return
-    out[0] = _project_boundary(ops.projector, ops.spec, n * ops.tau)[ops.free]
+    out[0] = _project_inflow(ops.projector, ops.spec, n, n * ops.tau)
     _check_finite(out[:1], n, 0)
     advance_block(ops, n, prev[0], prev[1:], 1, out[1:])
 

@@ -265,7 +265,8 @@ def test_criterion_6_invariant_bundle(mms):
         np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
     )
     loads = LoadAssembler(mesh, basis)
-    v = RitzProjector(mesh, A, loads).project(g, grad)
+    v = np.zeros(mesh.num_nodes)  # the FE function, zero on the boundary
+    v[interior] = RitzProjector(mesh, A, loads).project(g, grad)
     resid = A @ v - loads.assemble_gradient(grad)
     if np.abs(resid[interior]).max() > 1e-10:
         failures.append("projection orthogonality")
@@ -324,12 +325,12 @@ def test_criterion_7_dense_oracle_equivalence(mms):
         np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
         np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
     )
-    got = RitzProjector(mesh, A, loads).project(g, grad)
+    got = RitzProjector(mesh, A, loads).project(g, grad)  # the free-DOF coefficients
     rd = oracles.dense_grad_load(mesh, quadrature_rule(4), grad)
     Ad2, rd2 = oracles.dense_eliminate(
         oracles.dense_operator(mesh, quadrature_rule(2), "stiffness"), rd, mesh.boundary_mask
     )
-    worst["projection"] = float(np.abs(got - oracles.dense_solve(Ad2, rd2)).max())
+    worst["projection"] = float(np.abs(got - oracles.dense_solve(Ad2, rd2)[~mesh.boundary_mask]).max())
 
     # one full slice advance
     lgrid = LGrid(0.0, 1.0, 4)

@@ -279,7 +279,8 @@ LEVEL0_DATA = {
 @pytest.mark.parametrize("data", sorted(LEVEL0_DATA))
 def test_level_zero_is_bitwise_slice_by_slice_projections(mms, order, data):
     # level 0 evaluates the initial data for several slices per call; every
-    # row must have the bytes of its own projection with a scalar l
+    # row must have the bytes of its own projection with a scalar l, which
+    # gives the free DOFs, and the full-width surface 0.0 at the boundary
     from pbemoc.pipeline import partition
 
     mesh, basis, lgrid, _ = small_setup(h=0.125 if order == 1 else 0.25, M=16, order=order)
@@ -296,12 +297,14 @@ def test_level_zero_is_bitwise_slice_by_slice_projections(mms, order, data):
             projector.project(lambda x, y: spec.z_init(l_m, x, y), lambda x, y: spec.z_init_grad(l_m, x, y))
         )
     expected = np.stack(reference).tobytes()
-    assert initialize(mesh, basis, spec, lgrid, ops).as_matrix().tobytes() == expected
-    rows = stepper._initial_rows(projector, spec, lgrid, range(lgrid.M + 1))
+    surface = initialize(mesh, basis, spec, lgrid, ops).as_matrix()
+    assert surface[:, ops.free].tobytes() == expected
+    assert_zero_boundary(surface, ops.boundary_idx)
+    rows = stepper._initial_level(ops, range(lgrid.M + 1))
     assert rows.tobytes() == expected
     for P in (2, 3):
         blocks = partition(lgrid.M, P).blocks
-        rows = np.concatenate([stepper._initial_rows(projector, spec, lgrid, b) for b in blocks])
+        rows = np.concatenate([stepper._initial_level(ops, b) for b in blocks])
         assert rows.tobytes() == expected
 
 
@@ -990,9 +993,23 @@ def test_free_step_solve_is_bitwise_the_eliminated_system_solve(mms, order, h, e
     # system, for a panel of PANEL columns and for a single column, which the
     # solver pads to a panel
     mesh = build_structured_mesh(mms.domain, h, order)
+    basis = reference_basis(order)
     spec = mms if epsilon is None else make_spec(epsilon=epsilon, b=b, G=lambda l: 0.25 + 0.0 * l)
     lgrid = mms.lgrid(64) if epsilon is None else LGrid(0.0, 1.0, 4)
-    ops = precompute_operators(mesh, reference_basis(order), spec, tau, lgrid)
+    ops = precompute_operators(mesh, basis, spec, tau, lgrid)
+
+    # the projector, factored on the free block of the unit stiffness, gives
+    # the free entries of a solve on the eliminated unit stiffness
+    unit, unit_fell_back = eliminated_reference_factor(
+        fem.apply_dirichlet(fem.assemble_stiffness(mesh, basis), mesh.boundary_mask)
+    )
+    assert not unit_fell_back
+    for l_m in (0.25, 0.5):
+        grad = lambda x, y: mms.z_init_grad(l_m, x, y)
+        want = unit.solve(np.where(mesh.boundary_mask, 0.0, ops.load.assemble_gradient(grad)))
+        got = ops.projector.project(lambda x, y: mms.z_init(l_m, x, y), grad)
+        assert got.tobytes() == want[ops.free].tobytes()
+
     lu, fell_back = eliminated_reference_factor(fem.apply_dirichlet(ops.system, mesh.boundary_mask))
     assert fell_back == fallback
     free, boundary = ops.free, ops.boundary_idx
@@ -1007,6 +1024,26 @@ def test_free_step_solve_is_bitwise_the_eliminated_system_solve(mms, order, h, e
     # free-DOF rows, as the kernel passes them, get the same bytes
     assert ops.solve_system(rows[:, free]).tobytes() == ops.solve_system(rows)[:, free].tobytes()
     assert ops.solve_system(rows[0, free]).tobytes() == ops.solve_system(rows[0])[free].tobytes()
+
+
+@pytest.mark.parametrize("config", [None, SolverConfig("iterative")], ids=["direct", "iterative"])
+def test_no_run_builds_an_eliminated_matrix(mms, monkeypatch, config):
+    # the projector and the step factor take the free blocks of the all-DOF
+    # matrices, so neither driver calls apply_dirichlet, and the bytes stay
+    mesh, basis, lgrid, tgrid = small_setup(h=0.125, M=8, N=8)
+    seq = run_sequential(mms, mesh, basis, lgrid, tgrid, config).as_matrix()
+    pipe = run_pipeline(mms, mesh, basis, lgrid, tgrid, 2, config).surface.as_matrix()
+
+    def eliminate(*args):
+        raise AssertionError("apply_dirichlet was called")
+
+    for module in (fem, stepper):
+        monkeypatch.setattr(module, "apply_dirichlet", eliminate)
+    ops = precompute_operators(mesh, basis, mms, tgrid.tau, lgrid, config)
+    assert ops.projector.matrix.shape == (ops.free.size,) * 2
+    assert run_sequential(mms, mesh, basis, lgrid, tgrid, config).as_matrix().tobytes() == seq.tobytes()
+    run = run_pipeline(mms, mesh, basis, lgrid, tgrid, 2, config)
+    assert run.surface.as_matrix().tobytes() == pipe.tobytes()
 
 
 def test_solve_system_rejects_rows_of_another_width(mms):
@@ -1063,8 +1100,8 @@ def untested_inputs_spec(l_min):
 def test_untested_inputs_keep_the_drivers_and_the_per_slice_api_bitwise_equal(order, tmp_path):
     # the inputs no benchmark workload has: a plain source, whose load is
     # assembled per slice and taken on the free rows; a time-dependent nonzero
-    # inflow, whose projection is gathered to the free rows at every level; a
-    # non-unit domain; and an internal interval other than [0, 1]
+    # inflow, whose projection gives the free DOFs of the inflow slice at
+    # every level; a non-unit domain; and an internal interval other than [0, 1]
     l_min = 0.5
     mesh = build_structured_mesh(SHIFTED, 0.25, order)
     basis = reference_basis(order)
@@ -1089,7 +1126,7 @@ def test_untested_inputs_keep_the_drivers_and_the_per_slice_api_bitwise_equal(or
     inflow_n = ops.projector.project(
         lambda x, y: spec.z_bdry(N * tgrid.tau, x, y), lambda x, y: spec.z_bdry_grad(N * tgrid.tau, x, y)
     )
-    assert surface[0].tobytes() == inflow_n.tobytes()
+    assert surface[0, ops.free].tobytes() == inflow_n.tobytes()
 
     for P in (1, 2, 3):
         run = run_pipeline(spec, mesh, basis, lgrid, tgrid, P)
