@@ -48,7 +48,9 @@ way in every block, chunk and worker.
 Every system solve has the same fixed width (fem.PANEL right-hand sides, a
 partial panel padded with zeros), so a slice's bytes do not depend on its
 block, chunk or worker.  A level with a non-finite value raises SolveFailure
-carrying (n, m).
+carrying (n, m), and so does a failing solve: a projection names its slice
+and says it was a projection, and a step solve names the first slice of its
+chunk.
 """
 
 from __future__ import annotations
@@ -193,6 +195,11 @@ class Operators:
         # the stability gate, before any assembly; the weights are time-independent like G
         self.alphas = foot_weights(tau, lgrid, spec.G)
         self.beta = 1.0 - self.alphas  # weight of the same-index slice
+        if mesh.boundary_mask.all():
+            raise ValueError(
+                f"the order-{mesh.order} mesh of h={mesh.h:g} has no free DOF: "
+                f"all {mesh.num_nodes} nodes lie on the boundary"
+            )
         self.spec = spec
         self.tau = tau
         self.lgrid = lgrid
@@ -305,9 +312,17 @@ def _check_compatibility(spec: ProblemSpec, mesh: SpatialMesh, lgrid: LGrid) -> 
         )
 
 
+def _failure_at(exc: SolveFailure, solve: str, n: int, m: int) -> SolveFailure:
+    """exc as a SolveFailure that names the failing solve and carries its slice (n, m)."""
+    return SolveFailure(f"{solve} at step n={n} failed: {exc}", exc.residual, n=n, m=m)
+
+
 def _project_inflow(projector: RitzProjector, spec: ProblemSpec, n: int, t: float) -> np.ndarray:
     """The free-DOF row of the inflow slice (n, 0): the projection of the inflow data at time t."""
-    return projector.project(lambda x, y: spec.z_bdry(t, x, y), lambda x, y: spec.z_bdry_grad(t, x, y))
+    try:
+        return projector.project(lambda x, y: spec.z_bdry(t, x, y), lambda x, y: spec.z_bdry_grad(t, x, y))
+    except SolveFailure as exc:
+        raise _failure_at(exc, "projection of slice m=0", n, 0) from exc
 
 
 def _initial_level(ops: Operators, block: range) -> np.ndarray:
@@ -317,13 +332,16 @@ def _initial_level(ops: Operators, block: range) -> np.ndarray:
 
     The inflow slice is projected last, so a time-independent inflow has the
     projector's last right-hand side at every later level and is not solved
-    again."""
+    again.  A failing projection raises SolveFailure at (0, m)."""
     spec, projector = ops.spec, ops.projector
     rows = np.empty((len(block), ops.free.size))
     first = max(block.start, 1)
     members = projector._project_family(spec.z_init, spec.z_init_grad, ops.lgrid.nodes[first : block.stop])
-    for m in range(first, block.stop):
-        rows[m - block.start] = next(members)
+    try:
+        for m in range(first, block.stop):
+            rows[m - block.start] = next(members)
+    except SolveFailure as exc:
+        raise _failure_at(exc, f"projection of slice m={m}", 0, m) from exc
     if block.start == 0:
         rows[0] = _project_inflow(projector, spec, 0, 0.0)
     return rows
@@ -386,7 +404,8 @@ def advance_block(
     the free rows once per slice.  Each column's arithmetic does not depend
     on the chunk, and the solver works on panels of a fixed width, so every
     row gets the same bytes in any block.
-    Raises SolveFailure at the first slice with a non-finite value.
+    Raises SolveFailure at the first slice with a non-finite value, and at
+    the first slice of a chunk whose solve fails.
     """
     spec, load, alphas = ops.spec, ops.load, ops.alphas
     factors = ops.source_factors
@@ -418,7 +437,10 @@ def advance_block(
             for i in range(k):
                 l_i = float(ops.lgrid.nodes[m + i])
                 rhs[:, i] += load.assemble_values(spec.f(t, l_i, load.x, load.y))[ops.free]
-        out[c : c + k] = ops.solve_system(rhs.T)
+        try:
+            out[c : c + k] = ops.solve_system(rhs.T)
+        except SolveFailure as exc:
+            raise _failure_at(exc, f"step solve of slices m={m}..{m + k - 1}", n, m) from exc
     _check_finite(out, n, m0)
 
 

@@ -69,6 +69,21 @@ def test_missing_required_parameters(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--study", "single", "--element", "p1", "--h", "1", "--tau", "0.25", "--iota", "0.25"],
+        ["--study", "convergence", "--element", "p1", "--levels", "0,1", "--coupling", "equal"],
+    ],
+    ids=["single", "convergence"],
+)
+def test_a_mesh_with_no_free_dof_is_a_configuration_error(capsys, args):
+    # P1 with h = 1 has all 4 nodes on the boundary
+    assert cli_main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "the order-1 mesh of h=1 has no free DOF: all 4 nodes lie on the boundary" in err
+
+
 def test_characteristics_requires_quadratic(capsys):
     code = cli_main(["--study", "characteristics", "--element", "p1", "--levels", "1,2"])
     assert code == EXIT_CONFIG

@@ -793,6 +793,71 @@ def test_non_finite_inflow_at_the_last_step_raises(mms, workers):
     assert (failure.n, failure.m) == (tgrid.N, 0)
 
 
+def capped_gmres(function):
+    """function, run with GMRES capped at one inner iteration, which cannot
+    reach a relative residual of 1e-14 on these problems."""
+
+    def capped(*args):
+        saved, fem.GMRES_MAXITER = fem.GMRES_MAXITER, 1
+        try:
+            return function(*args)
+        finally:
+            fem.GMRES_MAXITER = saved
+
+    return capped
+
+
+# where the capped solve fails: the level-0 projections, the inflow
+# projection of level 1 (a time-dependent inflow, so it is solved again), or
+# the step solves of the first chunk, slices 1..16 or worker 0's 1..8, with
+# the (n, m) and the kind of solve the failure names
+GMRES_FAILURES = {
+    "level 0": ((0, 1), "projection of slice m=1 at step n=0"),
+    "inflow": ((1, 0), "projection of slice m=0 at step n=1"),
+    "step": ((1, 1), "step solve of slices m=1..{last} at step n=1"),
+}
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+@pytest.mark.parametrize("where", sorted(GMRES_FAILURES))
+def test_a_failing_solve_names_its_slice(mms, monkeypatch, where, workers):
+    from pbemoc import pipeline
+
+    mesh, basis, lgrid, _ = small_setup(h=0.125, M=16)
+    tgrid = TimeGrid(0.125, 4)  # tau = iota / 2, inside the growth bound of mms
+    config = SolverConfig("iterative", tol=1e-14)
+    spec = mms
+    if where == "level 0":
+        monkeypatch.setattr(fem, "GMRES_MAXITER", 1)
+    elif where == "step":
+        monkeypatch.setattr(stepper, "advance_block", capped_gmres(advance_block))
+    else:
+        spec = make_spec(
+            z_init=lambda l, x, y: sines(x, y),
+            z_init_grad=lambda l, x, y: sines_grad(x, y),
+            z_bdry=lambda t, x, y: (1.0 + t) * sines(x, y),
+            z_bdry_grad=lambda t, x, y: tuple((1.0 + t) * g for g in sines_grad(x, y)),
+        )
+        for module in (stepper, pipeline):
+            monkeypatch.setattr(module, "_advance_level", capped_gmres(stepper._advance_level))
+    (n, m), message = GMRES_FAILURES[where]
+    if workers is None:
+        with pytest.raises(SolveFailure) as err:
+            run_sequential(spec, mesh, basis, lgrid, tgrid, config)
+        failure = err.value
+    else:
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(spec, mesh, basis, lgrid, tgrid, workers, config)
+        assert (err.value.worker, err.value.step, err.value.m) == (0, n, m)
+        assert f"slice m={m}" in str(err.value)
+        failure = err.value.cause
+        assert isinstance(failure, SolveFailure)
+    assert (failure.n, failure.m) == (n, m)
+    message = message.format(last=16 if workers is None else 8)
+    assert str(failure).startswith(f"{message} failed: iterative solve stopped")
+    assert failure.residual > 1e-14
+
+
 def test_step_slice_raises_on_non_finite_input(mms):
     mesh, basis, lgrid, tgrid = small_setup()
     ops = precompute_operators(mesh, basis, mms, tgrid.tau, lgrid)
@@ -1189,6 +1254,31 @@ def test_a_node_violation_raises_before_any_assembly(monkeypatch, G, message):
         with pytest.raises(CflViolationError, match=message):
             run()
         assert assembled == [], name
+
+
+def test_a_mesh_with_no_free_dof_raises_before_any_assembly(mms, monkeypatch):
+    # P1 with h = 1 has its 4 nodes on the boundary: nothing is left to solve
+    mesh = build_structured_mesh(UNIT_SQUARE, 1.0, 1)
+    lgrid, tgrid = LGrid(0.0, 1.0, 4), TimeGrid(1.0, 4)
+    assert mesh.num_nodes == 4 and mesh.boundary_mask.all()
+    assembled = []
+    monkeypatch.setattr(stepper, "_run_operators", lambda *args: assembled.append(args))
+    message = "the order-1 mesh of h=1 has no free DOF: all 4 nodes lie on the boundary"
+    for run in (
+        lambda: precompute_operators(mesh, P1, mms, tgrid.tau, lgrid),
+        lambda: run_sequential(mms, mesh, P1, lgrid, tgrid),
+        lambda: run_pipeline(mms, mesh, P1, lgrid, tgrid, 2),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run()
+    assert assembled == []
+    # P2 with h = 1 keeps its one free DOF, the midpoint of the diagonal, and runs
+    monkeypatch.undo()
+    mesh, basis = build_structured_mesh(UNIT_SQUARE, 1.0, 2), reference_basis(2)
+    assert np.count_nonzero(~mesh.boundary_mask) == 1
+    surface = run_sequential(mms, mesh, basis, lgrid, tgrid).as_matrix()
+    assert np.isfinite(surface).all() and np.abs(surface).max() > 0.0
+    assert run_pipeline(mms, mesh, basis, lgrid, tgrid, 2).surface.as_matrix().tobytes() == surface.tobytes()
 
 
 def test_growth_peaking_between_nodes_runs_in_both_drivers(mms):
