@@ -7,9 +7,10 @@ the generic data terms (degree 2k+2 for loads, projections, and norms).  A
 run's operators come from one quadrature per degree, built for that run and
 dropped after it (_run_operators): one LoadAssembler holds both the value
 and the gradient loads, and the projector factors the free (non-boundary)
-block of the unit stiffness and returns free-DOF rows.  A projector can project a family of data
-g(p, x, y) for many parameters p with one evaluation per group of them, and
-still gives each member the bytes of its own projection.
+block of the unit stiffness and returns free-DOF rows.  A projector can
+project a family of data g(p, x, y) for many parameters p with one
+evaluation per group of them, and still gives each member the bytes of its
+own projection.
 Matrices are CSR; the direct solver is a sparse LU factorization, which makes
 every solve deterministic and byte-reproducible.  Its block solve hands the
 factorization exactly PANEL right-hand sides per call, so a row gets the same
