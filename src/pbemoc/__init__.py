@@ -16,6 +16,7 @@ from .characteristics import (
     foot_weights,
 )
 from .fem import (
+    BoundaryTraceError,
     ErrorEvaluator,
     FieldSlice,
     SolveFailure,

@@ -32,6 +32,7 @@ __all__ = [
     "FieldSlice",
     "SolverConfig",
     "SolveFailure",
+    "BoundaryTraceError",
     "assemble_mass",
     "assemble_stiffness",
     "assemble_convection",
@@ -86,6 +87,18 @@ class SolveFailure(RuntimeError):
     ):
         super().__init__(message)
         self.residual = residual
+        self.n = n
+        self.m = m
+
+
+class BoundaryTraceError(ValueError):
+    """Projected data do not vanish on the boundary.
+
+    n and m locate the projected slice (time level, internal index) when known.
+    """
+
+    def __init__(self, message: str, n: int | None = None, m: int | None = None):
+        super().__init__(message)
         self.n = n
         self.m = m
 
@@ -417,7 +430,7 @@ class RitzProjector:
         trace = np.max(np.abs(np.asarray(g(self._bx, self._by), dtype=float)))
         rhs = self._loads.assemble_gradient(g_grad)[self._interior]
         if not trace <= TRACE_TOL * max(1.0, rhs.max(), -rhs.min()):  # NaN fails; max(1, nan) = 1
-            raise ValueError(
+            raise BoundaryTraceError(
                 f"projected data must vanish on the boundary; found trace {trace:.3e}"
             )
         key = rhs.tobytes()  # bit for bit: -0.0 and 0.0 may solve to different bytes

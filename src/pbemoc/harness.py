@@ -12,7 +12,8 @@ so measured errors are pure discretization errors.  The source is a
 SeparableSource of two spatial fields, so the time steps assemble its loads
 once per run.  Convergence studies sweep the mesh size with a coupling rule
 for the two step sizes; scaling studies sweep the worker count.  A step size
-must divide the length it steps over, or the study raises ValueError.
+must divide the length it steps over, to the relative 1e-9 the mesh size
+also has (mesh._step_count), or the study raises ValueError.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .characteristics import CflViolationError, LGrid, TimeGrid, foot_weights
 from .fem import ErrorEvaluator, SolverConfig
-from .mesh import Rectangle, UNIT_SQUARE, build_structured_mesh, reference_basis
+from .mesh import Rectangle, UNIT_SQUARE, _step_count, build_structured_mesh, reference_basis
 from .pipeline import PipelineRun, ScalingRow, run_pipeline, timing_report
 from .stepper import ProblemSpec, SeparableSource, run_sequential
 
@@ -201,14 +202,6 @@ class ConvergenceRow:
     l2_order: float | None
     h1_error: float
     h1_order: float | None
-
-
-def _step_count(length: float, step: float, name: str, what: str) -> int:
-    """Number of steps of size step that tile length; ValueError if they do not."""
-    count = int(round(length / step))
-    if count < 1 or abs(count * step - length) > 1e-9 * length:
-        raise ValueError(f"{name}={step} does not divide {what} {length}")
-    return count
 
 
 def _cell_count(problem: MMSProblem, iota: float) -> int:

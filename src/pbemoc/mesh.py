@@ -5,7 +5,10 @@ length h and splits every cell into two right triangles along the same
 diagonal (lower-left to upper-right).  Node numbering is row-major over the
 vertex grid; elements are numbered cell by cell, lower triangle first.  For
 quadratic elements the vertex nodes come first, followed by edge midpoints
-in order of first appearance.
+in order of first appearance: element by element, edges (v0,v1), (v1,v2),
+(v2,v0).  h must divide both sides under _step_count, the package's one
+divisibility rule (up to 1e-9 relative, for rounding), which the study
+harness also applies to the step sizes.
 """
 
 from __future__ import annotations
@@ -115,34 +118,25 @@ class SpatialMesh:
 def build_structured_mesh(domain: Rectangle, h: float, order: int = 1) -> SpatialMesh:
     """Triangulate `domain` with cells of edge h split along a fixed diagonal.
 
-    h must divide both side lengths into an integer number of cells.
+    h must divide both side lengths into an integer number of cells (_step_count).
     """
     if order not in (1, 2):
         raise ValueError(f"unsupported element order {order}; expected 1 or 2")
     if h <= 0.0:
         raise ValueError(f"edge length must be positive, got {h}")
 
-    nx = _cell_count(domain.width, h, "x")
-    ny = _cell_count(domain.height, h, "y")
+    nx = _step_count(domain.width, h, "h", "the x-side of length")
+    ny = _step_count(domain.height, h, "h", "the y-side of length")
 
     xs = np.linspace(domain.x0, domain.x1, nx + 1)
     ys = np.linspace(domain.y0, domain.y1, ny + 1)
     xv, yv = np.meshgrid(xs, ys)  # row-major: y outer, x inner
     nodes = np.column_stack([xv.ravel(), yv.ravel()])
 
-    def vid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    tris = []
-    for iy in range(ny):
-        for ix in range(nx):
-            v00 = vid(ix, iy)
-            v10 = vid(ix + 1, iy)
-            v01 = vid(ix, iy + 1)
-            v11 = vid(ix + 1, iy + 1)
-            tris.append((v00, v10, v11))  # below the diagonal
-            tris.append((v00, v11, v01))  # above the diagonal
-    elements = np.asarray(tris, dtype=np.int64)
+    v = np.arange(nodes.shape[0], dtype=np.int64).reshape(ny + 1, nx + 1)
+    v00, v10, v01, v11 = v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]
+    # per cell: below the diagonal, then above it
+    elements = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
 
     num_vertices = nodes.shape[0]
     if order == 2:
@@ -162,34 +156,27 @@ def build_structured_mesh(domain: Rectangle, h: float, order: int = 1) -> Spatia
     return mesh
 
 
-def _cell_count(side: float, h: float, axis: str) -> int:
-    n = int(round(side / h))
-    if n < 1 or abs(n * h - side) > 1e-12 * max(1.0, side):
-        raise ValueError(
-            f"edge length {h} does not divide the {axis}-side of length {side} "
-            f"into an integer number of cells"
-        )
-    return n
+def _step_count(length: float, step: float, name: str, what: str) -> int:
+    """Number of steps of size step that tile length; ValueError if they do not.
+
+    The steps may miss length by up to 1e-9 of it, relative, for rounding."""
+    count = int(round(length / step))
+    if count < 1 or abs(count * step - length) > 1e-9 * length:
+        raise ValueError(f"{name}={step} does not divide {what} {length}")
+    return count
 
 
 def _add_edge_midpoints(nodes, elements):
     """Append one midpoint node per unique edge and extend connectivity to 6 columns."""
-    midpoint_of = {}
-    mid_coords = []
-    next_id = nodes.shape[0]
-    ext = np.empty((elements.shape[0], 6), dtype=np.int64)
-    ext[:, :3] = elements
-    for e, (a, b, c) in enumerate(elements):
-        for k, (i, j) in enumerate(((a, b), (b, c), (c, a))):
-            key = (i, j) if i < j else (j, i)
-            mid = midpoint_of.get(key)
-            if mid is None:
-                mid = next_id
-                midpoint_of[key] = mid
-                mid_coords.append(0.5 * (nodes[i] + nodes[j]))
-                next_id += 1
-            ext[e, 3 + k] = mid
-    all_nodes = np.vstack([nodes, np.asarray(mid_coords)])
+    ends = np.sort(elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys = ends[:, 0] * nodes.shape[0] + ends[:, 1]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)  # unique edges renumbered by first appearance
+    rank[np.argsort(first)] = np.arange(first.size)
+    mids = ends[np.sort(first)]
+    all_nodes = np.vstack([nodes, 0.5 * (nodes[mids[:, 0]] + nodes[mids[:, 1]])])
+    # the inverse's shape varies across numpy 2.0.x, hence the ravel
+    ext = np.column_stack([elements, nodes.shape[0] + rank[inverse.ravel()].reshape(-1, 3)])
     return all_nodes, ext
 
 
@@ -283,66 +270,38 @@ class QuadRule:
         """Points in reference (x, y) coordinates, shape (n, 2)."""
         return self.points[:, 1:3]
 
-    def __len__(self) -> int:
-        return self.weights.shape[0]
+
+# the permutations of a barycentric point, in the order its orbit lists them
+_ORBIT = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2))
 
 
-def _symmetric_points(groups):
-    """Expand (weight, barycentric-orbit) groups into point/weight arrays."""
+def _symmetric_rule(exact_degree, groups):
+    """The rule expanding each (weight, barycentric point) group into the
+    point's orbit, with the weights normalized to the reference area 1/2."""
     pts, wts = [], []
     for w, bary in groups:
-        seen = []
-        for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)):
-            p = tuple(bary[k] for k in perm)
-            if not any(all(abs(p[i] - q[i]) < 1e-14 for i in range(3)) for q in seen):
-                seen.append(p)
-        for p in seen:
-            pts.append(p)
-            wts.append(w)
-    points = np.asarray(pts, dtype=float)
-    # stored weights are normalized to the reference area 1/2
-    weights = 0.5 * np.asarray(wts, dtype=float)
-    return points, weights
+        orbit = dict.fromkeys(tuple(bary[k] for k in perm) for perm in _ORBIT)
+        pts += orbit
+        wts += [w] * len(orbit)
+    return QuadRule(np.asarray(pts, dtype=float), 0.5 * np.asarray(wts, dtype=float), exact_degree)
 
 
 def _build_rules():
-    third = 1.0 / 3.0
-    rules = []
-
-    rules.append(
-        QuadRule(
-            *_symmetric_points([(third, (2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0))]),
-            exact_degree=2,
-        )
+    a1, a2 = 0.445948490915965, 0.091576213509771
+    return (
+        _symmetric_rule(2, [(1.0 / 3.0, (2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0))]),
+        _symmetric_rule(
+            4, [(0.223381589678011, (1.0 - 2.0 * a1, a1, a1)), (0.109951743655322, (1.0 - 2.0 * a2, a2, a2))]
+        ),
+        _symmetric_rule(
+            6,
+            [
+                (0.050844906370207, (0.873821971016996, 0.063089014491502, 0.063089014491502)),
+                (0.116786275726379, (0.501426509658179, 0.249286745170910, 0.249286745170910)),
+                (0.082851075618374, (0.636502499121399, 0.310352451033785, 0.053145049844816)),
+            ],
+        ),
     )
-
-    a1, w1 = 0.445948490915965, 0.223381589678011
-    a2, w2 = 0.091576213509771, 0.109951743655322
-    rules.append(
-        QuadRule(
-            *_symmetric_points(
-                [
-                    (w1, (1.0 - 2.0 * a1, a1, a1)),
-                    (w2, (1.0 - 2.0 * a2, a2, a2)),
-                ]
-            ),
-            exact_degree=4,
-        )
-    )
-
-    rules.append(
-        QuadRule(
-            *_symmetric_points(
-                [
-                    (0.050844906370207, (0.873821971016996, 0.063089014491502, 0.063089014491502)),
-                    (0.116786275726379, (0.501426509658179, 0.249286745170910, 0.249286745170910)),
-                    (0.082851075618374, (0.636502499121399, 0.310352451033785, 0.053145049844816)),
-                ]
-            ),
-            exact_degree=6,
-        )
-    )
-    return tuple(rules)
 
 
 _RULES = _build_rules()

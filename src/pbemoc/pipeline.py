@@ -53,7 +53,7 @@ from multiprocessing.connection import wait
 import numpy as np
 
 from .characteristics import LGrid, TimeGrid
-from .fem import SolveFailure, SolverConfig
+from .fem import BoundaryTraceError, SolveFailure, SolverConfig
 from .mesh import BasisSet, SpatialMesh
 from .stepper import (
     ProblemSpec,
@@ -87,11 +87,11 @@ class PipelineError(RuntimeError):
     """A worker failed; carries the (worker, step, slice) context.
 
     m is the internal index of the failing slice, taken from a SolveFailure
-    cause, and None for any other cause.
+    or BoundaryTraceError cause, and None for any other cause.
     """
 
     def __init__(self, worker: int, step: int, cause: BaseException):
-        m = cause.m if isinstance(cause, SolveFailure) else None
+        m = cause.m if isinstance(cause, (SolveFailure, BoundaryTraceError)) else None
         where = f"step {step}" if m is None else f"step {step}, slice m={m}"
         super().__init__(f"worker {worker} failed at {where}: {cause!r}")
         self.worker = worker

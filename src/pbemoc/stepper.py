@@ -50,7 +50,8 @@ partial panel padded with zeros), so a slice's bytes do not depend on its
 block, chunk or worker.  A level with a non-finite value raises SolveFailure
 carrying (n, m), and so does a failing solve: a projection names its slice
 and says it was a projection, and a step solve names the first slice of its
-chunk.
+chunk.  Projected data that do not vanish on the boundary raise
+BoundaryTraceError carrying (n, m): (0, m) at level 0, (n, 0) at the inflow.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ import scipy.sparse as sp
 from .characteristics import LGrid, TimeGrid, foot_weights
 from .fem import (
     PANEL,
+    BoundaryTraceError,
     FieldSlice,
     RitzProjector,
     SolveFailure,
@@ -312,8 +314,11 @@ def _check_compatibility(spec: ProblemSpec, mesh: SpatialMesh, lgrid: LGrid) -> 
         )
 
 
-def _failure_at(exc: SolveFailure, solve: str, n: int, m: int) -> SolveFailure:
-    """exc as a SolveFailure that names the failing solve and carries its slice (n, m)."""
+def _failure_at(exc: SolveFailure | BoundaryTraceError, solve: str, n: int, m: int):
+    """exc as an error of its kind that carries its slice (n, m); a
+    SolveFailure also names the failing solve, a BoundaryTraceError keeps its text."""
+    if isinstance(exc, BoundaryTraceError):
+        return BoundaryTraceError(str(exc), n=n, m=m)
     return SolveFailure(f"{solve} at step n={n} failed: {exc}", exc.residual, n=n, m=m)
 
 
@@ -321,7 +326,7 @@ def _project_inflow(projector: RitzProjector, spec: ProblemSpec, n: int, t: floa
     """The free-DOF row of the inflow slice (n, 0): the projection of the inflow data at time t."""
     try:
         return projector.project(lambda x, y: spec.z_bdry(t, x, y), lambda x, y: spec.z_bdry_grad(t, x, y))
-    except SolveFailure as exc:
+    except (SolveFailure, BoundaryTraceError) as exc:
         raise _failure_at(exc, "projection of slice m=0", n, 0) from exc
 
 
@@ -332,7 +337,8 @@ def _initial_level(ops: Operators, block: range) -> np.ndarray:
 
     The inflow slice is projected last, so a time-independent inflow has the
     projector's last right-hand side at every later level and is not solved
-    again.  A failing projection raises SolveFailure at (0, m)."""
+    again.  A failing projection raises SolveFailure at (0, m), and data that
+    do not vanish on the boundary raise BoundaryTraceError there."""
     spec, projector = ops.spec, ops.projector
     rows = np.empty((len(block), ops.free.size))
     first = max(block.start, 1)
@@ -340,7 +346,7 @@ def _initial_level(ops: Operators, block: range) -> np.ndarray:
     try:
         for m in range(first, block.stop):
             rows[m - block.start] = next(members)
-    except SolveFailure as exc:
+    except (SolveFailure, BoundaryTraceError) as exc:
         raise _failure_at(exc, f"projection of slice m={m}", 0, m) from exc
     if block.start == 0:
         rows[0] = _project_inflow(projector, spec, 0, 0.0)

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pbemoc import cli
 from pbemoc.cli import EXIT_CFL, EXIT_CONFIG, EXIT_OK, EXIT_USAGE, _build_parser, _parse, cli_main
 
 
@@ -56,6 +59,15 @@ def test_cfl_violation_exits_nonzero(capsys):
     assert code == EXIT_CFL
     err = capsys.readouterr().err
     assert "stability bound" in err
+
+
+def test_initial_data_that_do_not_vanish_on_the_boundary_are_a_configuration_error(capsys, monkeypatch):
+    # slice m=2 (l = 0.5) of the initial data is 1 everywhere, the boundary included
+    problem = cli.mms_problem()
+    bad = dataclasses.replace(problem, z_init=lambda l, x, y: np.where(l == 0.5, 1.0, problem.z_init(l, x, y)))
+    monkeypatch.setattr(cli, "mms_problem", lambda: bad)
+    assert cli_main(["--study", "single", "--h", "0.25", "--tau", "0.25", "--iota", "0.25"]) == EXIT_CONFIG
+    assert "projected data must vanish on the boundary" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_nonzero(capsys):

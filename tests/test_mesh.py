@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,30 @@ def test_deterministic_numbering():
     np.testing.assert_allclose(a.nodes[1], [0.25, 0.0])
 
 
+def test_mesh_and_rule_bytes_are_pinned():
+    # one digest over every node, element and boundary flag of P1 and P2
+    # meshes of two rectangles at several h, and over the bundled rules: any
+    # renumbering or rounding change of the mesh or the quadrature shows here
+    digest = hashlib.sha256()
+
+    def feed(array):
+        array = np.asarray(array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+
+    for domain in (UNIT_SQUARE, Rectangle(-1.0, 2.0, 0.5, 1.5)):
+        for h in (1.0, 0.5, 0.25, 0.125, 1.0 / 32):
+            for order in (1, 2):
+                mesh = build_structured_mesh(domain, h, order)
+                for array in (mesh.nodes, mesh.elements, mesh.boundary_mask, mesh.num_vertices):
+                    feed(array)
+    for degree in (2, 4, 6):
+        rule = quadrature_rule(degree)
+        feed(rule.points)
+        feed(rule.weights)
+    assert digest.hexdigest()[:16] == "08f3ca5c45ca35aa"
+
+
 @pytest.mark.parametrize(
     "h,order,message",
     [
@@ -97,6 +123,13 @@ def test_deterministic_numbering():
 def test_builder_rejects_bad_input(h, order, message):
     with pytest.raises(ValueError, match=message):
         build_structured_mesh(UNIT_SQUARE, h, order)
+
+
+def test_h_within_rounding_of_a_divisor_is_accepted():
+    # the divisibility rule of the step sizes: 1e-9 of the side, relative
+    assert build_structured_mesh(Rectangle(0.0, 3.0, 0.0, 1.0), 0.5 * (1 + 1e-10), 1).num_elements == 24
+    with pytest.raises(ValueError, match="h=0.5000005 does not divide the x-side of length 3.0"):
+        build_structured_mesh(Rectangle(0.0, 3.0, 0.0, 1.0), 0.5000005, 1)
 
 
 def test_degenerate_rectangle_rejected():

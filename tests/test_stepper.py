@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from pbemoc import fem, stepper
 from pbemoc.characteristics import CflViolationError, LGrid, TimeGrid
-from pbemoc.fem import PANEL, FieldSlice, SolveFailure, SolverConfig
+from pbemoc.fem import PANEL, BoundaryTraceError, FieldSlice, SolveFailure, SolverConfig
 from pbemoc.mesh import UNIT_SQUARE, Rectangle, build_structured_mesh, quadrature_rule, reference_basis
 from pbemoc.pipeline import PipelineError, run_pipeline
 from pbemoc.stepper import (
@@ -312,8 +312,10 @@ def test_initial_data_of_a_wrong_shape_names_the_contract():
     # (q, k) values instead of (k, q): the error names the expected shapes
     mesh, basis, lgrid, tgrid = small_setup(h=0.125, M=8)
     spec = make_spec(z_init_grad=lambda l, x, y: (np.outer(x, l), np.outer(y, l)))
-    with pytest.raises(ValueError, match=r"must have shape \(k, q\) or \(q,\)"):
+    with pytest.raises(ValueError, match=r"must have shape \(k, q\) or \(q,\)") as err:
         run_sequential(spec, mesh, basis, lgrid, tgrid)
+    # the shape is that of a group of slices, so the error names no slice
+    assert not isinstance(err.value, BoundaryTraceError)
 
 
 @pytest.mark.parametrize("bad", [1.0, np.nan], ids=["nonzero", "nan"])
@@ -331,13 +333,14 @@ def test_bad_initial_data_in_a_group_raises_as_its_projection(bad, workers):
 
     spec = make_spec(z_init=z_init)
     projector = projection_ops(mesh, basis, spec, lgrid).projector
-    with pytest.raises(ValueError) as alone:
+    with pytest.raises(BoundaryTraceError) as alone:
         projector.project(lambda x, y: z_init(l_bad, x, y), lambda x, y: zero_pair(x, y))
+    assert (alone.value.n, alone.value.m) == (None, None)
     calls.clear()
     if workers is None:
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(BoundaryTraceError) as err:
             run_sequential(spec, mesh, basis, lgrid, tgrid)
-        assert str(err.value) == str(alone.value)
+        failure = err.value
         # the failing slice was evaluated together with slices on both sides
         group = next(c for c in calls if l_bad in c)
         assert 0 < list(group).index(l_bad) < len(group) - 1
@@ -345,10 +348,38 @@ def test_bad_initial_data_in_a_group_raises_as_its_projection(bad, workers):
         # partition(8, 2): worker 1 owns slices 5..8
         with pytest.raises(PipelineError) as err:
             run_pipeline(spec, mesh, basis, lgrid, tgrid, workers)
-        assert (err.value.worker, err.value.step) == (1, 0)
-        assert "worker 1 failed at step 0" in str(err.value)
-        assert isinstance(err.value.cause, ValueError)
-        assert str(err.value.cause) == str(alone.value)
+        assert (err.value.worker, err.value.step, err.value.m) == (1, 0, 5)
+        assert "worker 1 failed at step 0, slice m=5" in str(err.value)
+        failure = err.value.cause
+    assert isinstance(failure, BoundaryTraceError)
+    assert (failure.n, failure.m) == (0, 5)
+    assert str(failure) == str(alone.value)
+
+
+@pytest.mark.parametrize("workers", [None, 2], ids=["sequential", "pipeline"])
+def test_bad_inflow_data_raise_as_their_projection_at_their_level(workers):
+    # the inflow data are nonzero on the boundary from level n=3 on
+    mesh, basis, lgrid, tgrid = small_setup(h=0.125, M=8, N=8)
+
+    def z_bdry(t, x, y):
+        return np.full_like(np.asarray(x, dtype=float), 1.0 if t >= 3 * tgrid.tau else 0.0)
+
+    spec = make_spec(z_bdry=z_bdry)
+    projector = projection_ops(mesh, basis, spec, lgrid).projector
+    with pytest.raises(BoundaryTraceError) as alone:
+        projector.project(lambda x, y: z_bdry(3 * tgrid.tau, x, y), zero_pair)
+    if workers is None:
+        with pytest.raises(BoundaryTraceError) as err:
+            run_sequential(spec, mesh, basis, lgrid, tgrid)
+        failure = err.value
+    else:
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(spec, mesh, basis, lgrid, tgrid, workers)
+        assert (err.value.worker, err.value.step, err.value.m) == (0, 3, 0)
+        failure = err.value.cause
+    assert isinstance(failure, BoundaryTraceError)
+    assert (failure.n, failure.m) == (3, 0)
+    assert str(failure) == str(alone.value)
 
 
 # ---------------------------------------------------------------------------
