@@ -12,7 +12,8 @@ One run with four pipelined workers:
 
 Flags may also be given in a plain `key = value` config file; each entry is
 parsed as the flag `--key=value` ahead of the command line, so file values
-are checked like flags and explicit flags win.
+are checked like flags and explicit flags win.  A study rejects any flag it
+does not read (STUDY_FLAGS), from the command line or from a file.
 """
 
 from __future__ import annotations
@@ -86,14 +87,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_count_list, help="worker count, or comma list for scaling")
     p.add_argument("--T", type=float, help="final time of single and convergence runs (default 1)")
     p.add_argument("--out", help="file for the printed table (single runs: snapshot directory)")
-    p.add_argument("--config", help="key = value file supplying defaults for any flag")
+    p.add_argument("--config", help="key = value file supplying defaults for the study's flags")
     p.add_argument("--snapshots", type=_int_list, help="time-step indices to export (sequential runs)")
-    p.add_argument("--mode", choices=["strong", "weak"], default="strong", help="scaling mode")
-    p.add_argument("--block", type=_count, default=8, help="per-worker block for weak scaling (default 8)")
-    p.add_argument("--steps", type=_count, default=32, help="time steps of scaling runs (default 32)")
+    p.add_argument("--mode", choices=["strong", "weak"], help=f"scaling mode (default {StudyConfig.scaling_mode})")
+    p.add_argument("--block", type=_count, help=f"per-worker block for weak scaling (default {StudyConfig.block})")
+    p.add_argument("--steps", type=_count, help=f"time steps of scaling runs (default {StudyConfig.n_steps})")
     p.add_argument("--solver", choices=["direct", "iterative"], help="linear solver (default direct)")
     p.add_argument("--solver-tol", type=float, help="iterative solver tolerance (default 1e-10)")
     return p
+
+
+# the flags each study reads, by parser dest; scaling by mode.  Any other
+# flag given, on the command line or in a config file, is a configuration error.
+_EVERY_STUDY = {"study", "config", "element", "workers", "out", "solver", "solver_tol"}
+STUDY_FLAGS = {
+    "single": _EVERY_STUDY | {"h", "tau", "iota", "T", "snapshots"},
+    "convergence": _EVERY_STUDY | {"levels", "coupling", "T"},
+    "characteristics": _EVERY_STUDY | {"levels", "coupling", "T"},
+    "strong scaling": _EVERY_STUDY | {"mode", "h", "iota", "steps"},
+    "weak scaling": _EVERY_STUDY | {"mode", "h", "block", "steps"},
+}
+
+
+def _check_flags_read(args) -> None:
+    """Raise ValueError naming every flag given that the chosen study does not read."""
+    study = f"{args.mode or StudyConfig.scaling_mode} scaling" if args.study == "scaling" else args.study
+    unread = [dest for dest, value in vars(args).items() if value is not None and dest not in STUDY_FLAGS[study]]
+    if unread:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in unread)
+        raise ValueError(f"the {study} study does not read {flags}")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -169,6 +191,7 @@ def _emit(text: str, out: str | None) -> int:
 def _dispatch(args) -> int:
     if args.study is None:
         raise ValueError("--study is required (single, convergence, characteristics, scaling)")
+    _check_flags_read(args)
     study = args.study
     order = {"p1": 1, "p2": 2, None: 1}[args.element]
     solver = _solver_from(args)
@@ -180,8 +203,6 @@ def _dispatch(args) -> int:
             counts = ",".join(map(str, args.workers))
             raise ValueError(f"--workers={counts}: only scaling studies take several counts")
         workers = args.workers[0] if args.workers else None
-        snapshots = args.snapshots or ()
-        snapshot_dir = (args.out or ".") if snapshots else None
         l2, h1 = run_single(
             mms_problem(),
             args.h,
@@ -191,8 +212,8 @@ def _dispatch(args) -> int:
             workers,
             T=args.T,
             solver=solver,
-            snapshot_steps=snapshots,
-            snapshot_dir=snapshot_dir,
+            snapshot_steps=args.snapshots or (),
+            snapshot_dir=args.out,
         )
         # run_single's rule: a count of 1 runs sequentially
         mode = f"{workers} pipelined workers" if workers not in (None, 1) else "sequential"
@@ -218,16 +239,11 @@ def _dispatch(args) -> int:
         rows = characteristics_study(config) if study == "characteristics" else convergence_study(config)
         return _emit(format_convergence_rows(rows), args.out)
 
-    # scaling
+    # scaling: StudyConfig holds the defaults of the flags not given
+    given = dict(scaling_mode=args.mode, block=args.block, n_steps=args.steps)
     config = StudyConfig(
-        element_order=order,
-        workers=args.workers or (),
-        h=args.h,
-        iota=args.iota,
-        scaling_mode=args.mode,
-        block=args.block,
-        n_steps=args.steps,
-        solver=solver,
+        element_order=order, workers=args.workers or (), h=args.h, iota=args.iota, solver=solver,
+        **{key: value for key, value in given.items() if value is not None},
     )
     return _emit(format_scaling_rows(scaling_study(config)), args.out)
 

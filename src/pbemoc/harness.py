@@ -18,7 +18,6 @@ also has (mesh._step_count), or the study raises ValueError.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -57,8 +56,10 @@ COUPLINGS: dict[str, Callable[[float], tuple[float, float]]] = {
 
 @dataclass(frozen=True)
 class MMSProblem(ProblemSpec):
-    """Benchmark problem plus its exact solution and the grids it lives on."""
+    """Benchmark problem plus its exact solution, the grids it lives on and
+    the studies' default final time T."""
 
+    T: float = 1.0
     exact: Callable = None
     exact_grad: Callable = None
     domain: Rectangle = UNIT_SQUARE
@@ -147,7 +148,6 @@ def mms_problem() -> MMSProblem:
         z_init_grad=lambda l, x, y: _solution_grad(0.0, l, x, y),
         z_bdry=_zero_inflow,
         z_bdry_grad=_zero_inflow_grad,
-        T=1.0,
         exact=_solution,
         exact_grad=_solution_grad,
     )
@@ -231,13 +231,13 @@ def run_single(
 
     Without workers or with one, the run is sequential; any other count goes
     to run_pipeline, which rejects counts below 1.  Snapshots are written by
-    the sequential run only, into snapshot_dir, which is created if missing.
+    the sequential run only (run_sequential), and a snapshot_dir needs steps.
     """
     pipelined = workers not in (None, 1)
     if pipelined and snapshot_steps:
         raise ValueError("snapshots are written by sequential runs only; drop them or run one worker")
-    if snapshot_steps and snapshot_dir is not None:
-        os.makedirs(snapshot_dir, exist_ok=True)
+    if snapshot_dir is not None and not snapshot_steps:
+        raise ValueError(f"snapshot directory {snapshot_dir} (--out) given without steps (--snapshots)")
     T = problem.T if T is None else T
     lgrid, tgrid = _grids_for(problem, tau, iota, T)
     mesh = build_structured_mesh(problem.domain, h, order)

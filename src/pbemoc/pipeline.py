@@ -56,12 +56,12 @@ from .characteristics import LGrid, TimeGrid
 from .fem import BoundaryTraceError, SolveFailure, SolverConfig
 from .mesh import BasisSet, SpatialMesh
 from .stepper import (
+    Operators,
     ProblemSpec,
     SolutionSurface,
     _advance_level,
     _initial_level,
     _level_surface,
-    _prepare,
 )
 
 __all__ = [
@@ -423,7 +423,7 @@ def run_pipeline(
     """Advance the surface to t=T with P pipelined worker processes over the internal grid."""
     plan = partition(lgrid.M, P)
     # built once here; the workers inherit them through the fork
-    ops = _prepare(spec, mesh, basis, lgrid, tgrid, solver_config)
+    ops = Operators(mesh, basis, spec, tgrid.tau, lgrid, solver_config)
     engine = _Engine(
         plan,
         tgrid.N,

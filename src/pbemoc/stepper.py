@@ -132,7 +132,8 @@ class ProblemSpec:
     z_bdry(t, x, y); the *_grad companions return the spatial gradient as an
     (fx, fy) pair.  G(l) is the growth rate along the internal coordinate.
     A source given as a SeparableSource enters the time steps through loads
-    assembled once per run; any other callable is evaluated per slice.
+    assembled once per run; any other callable is evaluated per slice.  The
+    final time is the TimeGrid's, not the problem's.
 
     z_init and z_init_grad are evaluated for several slices per call, with l
     as a (k, 1) column and x, y as (q,) arrays: row i of a result may depend
@@ -147,13 +148,10 @@ class ProblemSpec:
     z_init_grad: Callable
     z_bdry: Callable
     z_bdry_grad: Callable
-    T: float
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
             raise ValueError(f"diffusion coefficient must be positive, got {self.epsilon}")
-        if self.T <= 0.0:
-            raise ValueError(f"final time must be positive, got {self.T}")
 
 
 @dataclass(eq=False)
@@ -175,6 +173,9 @@ class Operators:
     """Assembled matrices, factorizations, the projector and load assembler,
     the step operator and the chunk buffers of advance_block, for one run.
 
+    Construction checks, before any assembly, the t=0 compatibility of the
+    data, then tau and the stability gate, then that the mesh has free DOFs.
+
     free holds the indices of the free (non-Dirichlet) DOFs, the columns of
     every level a run steps; the step factor and the step operator work on
     those DOFs only, and boundary_idx holds the others.
@@ -192,6 +193,7 @@ class Operators:
         lgrid: LGrid,
         solver_config: SolverConfig | None = None,
     ):
+        _check_compatibility(spec, mesh, lgrid)
         if tau <= 0.0:
             raise ValueError(f"step size must be positive, got {tau}")
         # the stability gate, before any assembly; the weights are time-independent like G
@@ -292,16 +294,7 @@ def _step_operator(scaled_mass: sp.csr_matrix, loads: np.ndarray) -> sp.csr_matr
     return sp.hstack([scaled_mass, field_loads], format="csr")
 
 
-def precompute_operators(
-    mesh: SpatialMesh,
-    basis: BasisSet,
-    spec: ProblemSpec,
-    tau: float,
-    lgrid: LGrid,
-    solver_config: SolverConfig | None = None,
-) -> Operators:
-    """Assemble, eliminate, and factorize everything reused across (n, m)."""
-    return Operators(mesh, basis, spec, tau, lgrid, solver_config)
+precompute_operators = Operators  # the name the bench imports
 
 
 def _check_compatibility(spec: ProblemSpec, mesh: SpatialMesh, lgrid: LGrid) -> None:
@@ -366,8 +359,8 @@ def initialize(
     operators: Operators,
 ) -> SolutionSurface:
     """Level-0 surface: gradient projections of the initial and inflow data
-    of operators, with its projector and so its solver."""
-    _check_compatibility(spec, mesh, lgrid)
+    of operators, with its projector and so its solver; reads only operators
+    and lgrid."""
     return _level_surface(0, operators.full_width(_initial_level(operators, range(lgrid.M + 1))))
 
 
@@ -499,20 +492,6 @@ def step_slice(
     return FieldSlice(operators.full_width(out[0]), n=n, m=m)
 
 
-def _prepare(
-    spec: ProblemSpec,
-    mesh: SpatialMesh,
-    basis: BasisSet,
-    lgrid: LGrid,
-    tgrid: TimeGrid,
-    solver_config: SolverConfig | None,
-) -> Operators:
-    """Preamble of both drivers: the t=0 compatibility check, then the
-    operators, which gate on stability first and whose projector builds level 0."""
-    _check_compatibility(spec, mesh, lgrid)
-    return precompute_operators(mesh, basis, spec, tgrid.tau, lgrid, solver_config)
-
-
 def run_sequential(
     spec: ProblemSpec,
     mesh: SpatialMesh,
@@ -523,26 +502,30 @@ def run_sequential(
     snapshot_steps: Sequence[int] = (),
     snapshot_dir=None,
 ) -> SolutionSurface:
-    """Advance the full surface from t=0 to t=T, one advance_block call per level."""
-    ops = _prepare(spec, mesh, basis, lgrid, tgrid, solver_config)
+    """Advance the full surface from t=0 to t=T, one advance_block call per level.
+
+    The steps in snapshot_steps, each in 0..N, are written into snapshot_dir
+    (the working directory if None), which is created if missing."""
     snapshots = set(int(s) for s in snapshot_steps)
+    outside = sorted(s for s in snapshots if not 0 <= s <= tgrid.N)
+    if outside:
+        raise ValueError(f"snapshot steps {outside} lie outside 0..{tgrid.N}")
+    snapshot_dir = "." if snapshot_dir is None else snapshot_dir
+    if snapshots:
+        os.makedirs(snapshot_dir, exist_ok=True)
+    ops = Operators(mesh, basis, spec, tgrid.tau, lgrid, solver_config)
     # two free-DOF level arrays, swapped after every step
     level = _initial_level(ops, range(lgrid.M + 1))
-    if 0 in snapshots:
-        write_snapshot(_level_surface(0, ops.full_width(level)), _snapshot_path(snapshot_dir, 0))
     spare = np.empty_like(level)
-    for n in range(1, tgrid.N + 1):
-        _advance_level(ops, n, None, level, 0, spare)
-        level, spare = spare, level
+    for n in range(tgrid.N + 1):
+        if n > 0:
+            _advance_level(ops, n, None, level, 0, spare)
+            level, spare = spare, level
         if n in snapshots:
-            write_snapshot(_level_surface(n, ops.full_width(level)), _snapshot_path(snapshot_dir, n))
+            path = os.path.join(snapshot_dir, f"surface_n{n:05d}.txt")
+            write_snapshot(_level_surface(n, ops.full_width(level)), path)
     del spare  # released before the full-width copy of the last level
     return _level_surface(tgrid.N, ops.full_width(level))
-
-
-def _snapshot_path(snapshot_dir, n: int):
-    base = snapshot_dir if snapshot_dir is not None else "."
-    return os.path.join(base, f"surface_n{n:05d}.txt")
 
 
 def write_snapshot(surface: SolutionSurface, path) -> None:

@@ -284,7 +284,6 @@ def test_criterion_6_invariant_bundle(mms):
         z_init_grad=lambda l, x, y: tuple(2.0 * c for c in mms.z_init_grad(l, x, y)),
         z_bdry=lambda t, x, y: 2.0 * mms.z_bdry(t, x, y),
         z_bdry_grad=lambda t, x, y: tuple(2.0 * c for c in mms.z_bdry_grad(t, x, y)),
-        T=mms.T,
     )
     doubled = run_sequential(doubled_spec, mesh, basis, lgrid_s, tgrid_s).as_matrix()
     scale = np.abs(base).max()

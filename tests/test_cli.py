@@ -330,3 +330,93 @@ def test_list_flags_skip_empty_entries():
     assert args.levels == (0.25, 0.125)
     assert args.workers == (1, 2)
     assert args.snapshots == (0, 4)
+
+
+# a value every study that reads the flag accepts; out is a path under tmp_path
+VALID = {
+    "element": "p1",
+    "h": "0.5",
+    "tau": "0.25",
+    "iota": "0.25",
+    "levels": "1",
+    "coupling": "equal",
+    "workers": "1",
+    "T": "1",
+    "snapshots": "0",
+    "mode": "weak",
+    "block": "2",
+    "steps": "1",
+    "solver": "iterative",
+    "solver_tol": "1e-10",
+}
+
+
+def flag_args(dest, value):
+    return ["--" + dest.replace("_", "-"), value]
+
+
+@pytest.mark.parametrize("study", sorted(cli.STUDY_FLAGS))
+def test_a_study_runs_with_every_flag_it_reads_and_rejects_every_other(tmp_path, capsys, study):
+    words = study.split()  # "strong scaling" is --study scaling --mode strong
+    values = dict(VALID, study=words[-1], mode=words[0], out=str(tmp_path / "out"))
+    if study == "characteristics":
+        values["element"] = "p2"
+    read = cli.STUDY_FLAGS[study] - {"config"}
+    args = [token for dest in sorted(read) for token in flag_args(dest, values[dest])]
+    assert cli_main(args) == EXIT_OK, capsys.readouterr().err
+    capsys.readouterr()
+    others = sorted(set(VALID) - read)
+    assert others  # every study leaves some flag unread
+    for dest in others:
+        flag = "--" + dest.replace("_", "-")
+        assert cli_main(args + flag_args(dest, VALID[dest])) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"the {study} study does not read {flag}" in captured.err, dest
+        assert captured.out == ""
+        # a config file goes through the same table
+        cfg = tmp_path / "extra.cfg"
+        cfg.write_text(f"{dest} = {VALID[dest]}\n")
+        assert cli_main(args + ["--config", str(cfg)]) == EXIT_CONFIG
+        assert f"does not read {flag}" in capsys.readouterr().err
+
+
+def test_every_flag_given_that_the_study_does_not_read_is_named(capsys):
+    args = ["--study", "scaling", "--workers", "1", "--h", "0.5", "--iota", "0.25", "--steps", "1"]
+    extra = ["--T", "5", "--tau", "0.3", "--levels", "3", "--snapshots", "1"]
+    assert cli_main(args + extra) == EXIT_CONFIG
+    assert "the strong scaling study does not read --tau, --levels, --T, --snapshots" in capsys.readouterr().err
+
+
+SINGLE = ["--study", "single", "--h", "0.5", "--tau", "0.25", "--iota", "0.25"]
+
+
+def test_a_single_run_s_out_without_snapshots_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "snapshots"
+    assert cli_main(SINGLE + ["--out", str(out)]) == EXIT_CONFIG
+    assert "given without steps (--snapshots)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_snapshot_steps_outside_the_time_grid_are_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "snapshots"
+    assert cli_main(SINGLE + ["--snapshots", "0,4,7,-1", "--out", str(out)]) == EXIT_CONFIG
+    assert "snapshot steps [-1, 7] lie outside 0..4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--study", "single", "--h", "0.5", "--tau", "0", "--iota", "0.25"], "tau=0.0 must be positive"),
+        (["--study", "single", "--h", "0.5", "--tau", "0.25", "--iota", "0"], "iota=0.0 must be positive"),
+        (["--study", "single", "--h", "0.5", "--tau", "nan", "--iota", "0.25"], "tau=nan must be positive"),
+        (["--study", "single", "--h", "0", "--tau", "0.25", "--iota", "0.25"], "h=0.0 must be positive"),
+        (["--study", "scaling", "--workers", "1", "--h", "0.5", "--iota", "0", "--steps", "1"], "iota=0.0 must be positive"),
+    ],
+    ids=["single-tau", "single-iota", "single-tau-nan", "single-h", "scaling-iota"],
+)
+def test_a_step_that_is_not_positive_is_a_configuration_error_naming_it(capsys, args, message):
+    assert cli_main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"pbemoc: configuration error: {message}\n"
+    assert captured.out == ""

@@ -21,6 +21,7 @@ from pbemoc.harness import (
     run_single,
     scaling_study,
 )
+from pbemoc.mesh import UNIT_SQUARE, build_structured_mesh
 from pbemoc.pipeline import ScalingRow
 
 
@@ -265,6 +266,33 @@ def test_pipelined_run_rejects_snapshots_before_running(mms, tmp_path):
     with pytest.raises(ValueError, match="sequential"):
         run_single(mms, 0.5, 0.25, 0.25, workers=2, snapshot_steps=(0,), snapshot_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_snapshot_directory_without_steps_is_rejected_before_running(mms, tmp_path):
+    out = tmp_path / "snapshots"
+    with pytest.raises(ValueError, match="given without steps"):
+        run_single(mms, 0.5, 0.25, 0.25, snapshot_dir=out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", [0.0, float("nan")], ids=["zero", "nan"])
+def test_a_step_that_is_not_positive_is_rejected_naming_it(mms, step):
+    runs = {
+        "h": [
+            lambda: build_structured_mesh(UNIT_SQUARE, step, 1),
+            lambda: run_single(mms, step, 0.25, 0.25),
+            lambda: scaling_study(StudyConfig(workers=(1,), h=step, n_steps=1), mms),
+        ],
+        "tau": [lambda: run_single(mms, 0.5, step, 0.25)],
+        "iota": [
+            lambda: run_single(mms, 0.5, 0.25, step),
+            lambda: scaling_study(StudyConfig(workers=(1,), h=0.5, iota=step, n_steps=1), mms),
+        ],
+    }
+    for name, calls in runs.items():
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{name}={step} must be positive$"):
+                call()
 
 
 def test_halving_the_internal_spacing_halves_the_transport_error(mms):

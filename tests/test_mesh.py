@@ -117,6 +117,8 @@ def test_mesh_and_rule_bytes_are_pinned():
     [
         (0.3, 1, "does not divide"),
         (-0.5, 1, "positive"),
+        (0.0, 1, "^h=0.0 must be positive$"),
+        (float("nan"), 1, "^h=nan must be positive$"),
         (0.5, 3, "order"),
     ],
 )

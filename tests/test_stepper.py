@@ -47,7 +47,6 @@ def make_spec(**overrides):
         z_init_grad=lambda l, x, y: zero_pair(x, y),
         z_bdry=lambda t, x, y: zeros(x, y),
         z_bdry_grad=lambda t, x, y: zero_pair(x, y),
-        T=1.0,
     )
     fields.update(overrides)
     return ProblemSpec(**fields)
@@ -85,8 +84,18 @@ def projection_ops(mesh, basis, spec, lgrid, solver_config=None):
 def test_problem_spec_validation():
     with pytest.raises(ValueError, match="positive"):
         make_spec(epsilon=0.0)
-    with pytest.raises(ValueError, match="positive"):
-        make_spec(T=-1.0)
+
+
+def test_the_final_time_is_the_time_grid_s_not_the_problem_s():
+    with pytest.raises(TypeError, match="'T'"):
+        make_spec(T=1.0)
+
+
+def test_the_one_line_wrappers_are_aliases():
+    from pbemoc.mesh import BasisSet
+
+    assert precompute_operators is stepper.Operators
+    assert reference_basis is BasisSet
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +190,34 @@ def test_initialize_rejects_incompatible_data():
     mesh, basis, lgrid, _ = small_setup()
     with pytest.raises(ValueError, match="disagree"):
         initialize(mesh, basis, spec, lgrid, projection_ops(mesh, basis, spec, lgrid))
+
+
+def incompatible_spec(**overrides):
+    """Zero initial data against an inflow that is sines at every t."""
+    return make_spec(z_bdry=lambda t, x, y: sines(x, y), z_bdry_grad=lambda t, x, y: sines_grad(x, y), **overrides)
+
+
+def test_operators_reject_incompatible_data_before_any_assembly(monkeypatch):
+    mesh, basis, lgrid, tgrid = small_setup()
+    assembled = []
+    monkeypatch.setattr(stepper, "_run_operators", lambda *args: assembled.append(args))
+    with pytest.raises(ValueError, match="disagree"):
+        precompute_operators(mesh, basis, incompatible_spec(), tgrid.tau, lgrid)
+    assert assembled == []
+
+
+def test_an_incompatible_and_unstable_run_reports_the_incompatibility():
+    mesh, basis, _, _ = small_setup()
+    lgrid, tgrid = LGrid(0.0, 1.0, 4), TimeGrid(2.0, 4)  # tau = 2 iota
+    spec = incompatible_spec(G=lambda l: np.ones_like(l))
+    with pytest.raises(CflViolationError):
+        precompute_operators(mesh, basis, make_spec(G=spec.G), tgrid.tau, lgrid)
+    for run in (
+        lambda: run_sequential(spec, mesh, basis, lgrid, tgrid),
+        lambda: run_pipeline(spec, mesh, basis, lgrid, tgrid, 2),
+    ):
+        with pytest.raises(ValueError, match="disagree"):
+            run()
 
 
 def test_initialize_rejects_nan_inflow_at_t0():
@@ -679,7 +716,7 @@ def test_run_sequential_solves_once_per_slice(mms, monkeypatch):
 
     ops.solve_system = counting
     ops._solver._lu = lu = RecordingLU(ops._solver._lu)
-    monkeypatch.setattr(stepper, "precompute_operators", lambda *args: ops)
+    monkeypatch.setattr(stepper, "Operators", lambda *args: ops)
     out = run_sequential(mms, mesh, basis, lgrid, tgrid)
     # one block per chunk, the chunks' rows the level's slices, so each slice
     # once, over the free DOFs
@@ -715,7 +752,7 @@ def test_inflow_is_solved_once_per_distinct_right_hand_side(monkeypatch, inflow)
     projections = []
     project = ops.projector.project
     ops.projector.project = lambda *args: projections.append(1) or project(*args)
-    monkeypatch.setattr(stepper, "precompute_operators", lambda *args: ops)
+    monkeypatch.setattr(stepper, "Operators", lambda *args: ops)
     run_sequential(spec, mesh, basis, lgrid, tgrid)
     # one projection per slice of level 0 and per inflow slice, as before
     assert len(projections) == (lgrid.M + 1) + tgrid.N
@@ -1020,7 +1057,6 @@ def test_scheme_linear_in_data(mms):
         z_init_grad=lambda l, x, y: tuple(2.0 * g for g in mms.z_init_grad(l, x, y)),
         z_bdry=lambda t, x, y: 2.0 * mms.z_bdry(t, x, y),
         z_bdry_grad=lambda t, x, y: tuple(2.0 * g for g in mms.z_bdry_grad(t, x, y)),
-        T=mms.T,
     )
     scaled = run_sequential(scaled_spec, mesh, basis, lgrid, tgrid)
     np.testing.assert_allclose(
@@ -1051,6 +1087,23 @@ def test_snapshot_export(tmp_path, mms):
     assert int(m) == lgrid.M
     assert int(idx) == mesh.num_nodes - 1
     assert float(value) == surface.slices[-1].values[-1]
+
+
+def test_snapshot_export_creates_its_directory(tmp_path, mms):
+    mesh, basis, lgrid, tgrid = small_setup(h=0.5, M=2, N=2)
+    out = tmp_path / "a" / "b"
+    run_sequential(mms, mesh, basis, lgrid, tgrid, snapshot_steps=(1,), snapshot_dir=out)
+    assert [p.name for p in out.iterdir()] == ["surface_n00001.txt"]
+
+
+def test_snapshot_steps_outside_the_time_grid_are_rejected_before_any_assembly(tmp_path, mms, monkeypatch):
+    mesh, basis, lgrid, tgrid = small_setup(h=0.5, M=4, N=4)
+    assembled = []
+    monkeypatch.setattr(stepper, "_run_operators", lambda *args: assembled.append(args))
+    out = tmp_path / "snapshots"
+    with pytest.raises(ValueError, match=re.escape("snapshot steps [-1, 7] lie outside 0..4")):
+        run_sequential(mms, mesh, basis, lgrid, tgrid, snapshot_steps=(0, 4, 7, -1), snapshot_dir=out)
+    assert assembled == [] and not out.exists()
 
 
 # ---------------------------------------------------------------------------
