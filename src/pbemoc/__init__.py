@@ -29,12 +29,12 @@ from .fem import (
 from .harness import (
     ConvergenceRow,
     MMSProblem,
-    StudyConfig,
     characteristics_study,
     convergence_study,
     mms_problem,
     run_single,
-    scaling_study,
+    strong_scaling_study,
+    weak_scaling_study,
 )
 from .mesh import (
     BasisSet,

@@ -12,26 +12,28 @@ One run with four pipelined workers:
 
 Flags may also be given in a plain `key = value` config file; each entry is
 parsed as the flag `--key=value` ahead of the command line, so file values
-are checked like flags and explicit flags win.  A study rejects any flag it
-does not read (STUDY_FLAGS), from the command line or from a file.
+are checked like flags and explicit flags win.  A study reads the flags of
+its function's parameters (STUDY_FLAGS) and rejects any other flag, from the
+command line or from a file.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from .characteristics import CflViolationError
 from .fem import SolveFailure, SolverConfig
 from .harness import (
-    StudyConfig,
     characteristics_study,
     convergence_study,
     format_convergence_rows,
     format_scaling_rows,
     mms_problem,
     run_single,
-    scaling_study,
+    strong_scaling_study,
+    weak_scaling_study,
 )
 from .pipeline import PipelineError
 
@@ -72,6 +74,40 @@ def _mesh_levels(text: str) -> tuple[float, ...]:
     return tuple(2.0 ** -k for k in _int_list(text))
 
 
+STUDIES = {
+    "single": run_single,
+    "convergence": convergence_study,
+    "characteristics": characteristics_study,
+    "strong scaling": strong_scaling_study,
+    "weak scaling": weak_scaling_study,
+}
+PARAMETERS = {study: inspect.signature(function).parameters for study, function in STUDIES.items()}
+DEFAULT_MODE = "strong"
+
+# the study parameter each flag sets, by parser dest.  --out is a single
+# run's snapshot directory and the table file of every other study.
+PARAMETER_OF = dict(
+    {dest: dest for dest in ("h", "tau", "iota", "levels", "coupling", "workers", "T", "block", "steps")},
+    element="order", snapshots="snapshot_steps", out="snapshot_dir", solver="solver", solver_tol="solver",
+)
+
+
+def _scaling_default(name: str):
+    return PARAMETERS["weak scaling"][name].default
+
+
+# the flags each study reads: those that set one of its function's
+# parameters, the CLI's own --study, --config and --out, and --mode for
+# scaling.  Any other flag given, on the command line or in a config file,
+# is a configuration error.
+STUDY_FLAGS = {
+    study: {dest for dest, name in PARAMETER_OF.items() if name in PARAMETERS[study]}
+    | {"study", "config", "out"}
+    | ({"mode"} if study.endswith("scaling") else set())
+    for study in STUDIES
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pbemoc",
@@ -89,29 +125,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="file for the printed table (single runs: snapshot directory)")
     p.add_argument("--config", help="key = value file supplying defaults for the study's flags")
     p.add_argument("--snapshots", type=_int_list, help="time-step indices to export (sequential runs)")
-    p.add_argument("--mode", choices=["strong", "weak"], help=f"scaling mode (default {StudyConfig.scaling_mode})")
-    p.add_argument("--block", type=_count, help=f"per-worker block for weak scaling (default {StudyConfig.block})")
-    p.add_argument("--steps", type=_count, help=f"time steps of scaling runs (default {StudyConfig.n_steps})")
+    p.add_argument("--mode", choices=["strong", "weak"], help=f"scaling mode (default {DEFAULT_MODE})")
+    p.add_argument("--block", type=_count, help=f"per-worker block for weak scaling (default {_scaling_default('block')})")
+    p.add_argument("--steps", type=_count, help=f"time steps of scaling runs (default {_scaling_default('steps')})")
     p.add_argument("--solver", choices=["direct", "iterative"], help="linear solver (default direct)")
     p.add_argument("--solver-tol", type=float, help="iterative solver tolerance (default 1e-10)")
     return p
 
 
-# the flags each study reads, by parser dest; scaling by mode.  Any other
-# flag given, on the command line or in a config file, is a configuration error.
-_EVERY_STUDY = {"study", "config", "element", "workers", "out", "solver", "solver_tol"}
-STUDY_FLAGS = {
-    "single": _EVERY_STUDY | {"h", "tau", "iota", "T", "snapshots"},
-    "convergence": _EVERY_STUDY | {"levels", "coupling", "T"},
-    "characteristics": _EVERY_STUDY | {"levels", "coupling", "T"},
-    "strong scaling": _EVERY_STUDY | {"mode", "h", "iota", "steps"},
-    "weak scaling": _EVERY_STUDY | {"mode", "h", "block", "steps"},
-}
-
-
-def _check_flags_read(args) -> None:
-    """Raise ValueError naming every flag given that the chosen study does not read."""
-    study = f"{args.mode or StudyConfig.scaling_mode} scaling" if args.study == "scaling" else args.study
+def _check_flags_read(args, study: str) -> None:
+    """Raise ValueError naming every flag given that the study does not read."""
     unread = [dest for dest, value in vars(args).items() if value is not None and dest not in STUDY_FLAGS[study]]
     if unread:
         flags = ", ".join("--" + dest.replace("_", "-") for dest in unread)
@@ -188,64 +211,52 @@ def _emit(text: str, out: str | None) -> int:
     return EXIT_OK
 
 
+def _study_arguments(args, study: str) -> dict:
+    """The flags given that set a parameter of the study's function, as its
+    keyword arguments; ValueError naming the flags of a missing one."""
+    parameters = PARAMETERS[study]
+    given = {
+        PARAMETER_OF[dest]: value
+        for dest, value in vars(args).items()
+        if value is not None and PARAMETER_OF.get(dest) in parameters
+    }
+    missing = [
+        "--" + dest
+        for dest, name in PARAMETER_OF.items()
+        if name in parameters and parameters[name].default is inspect.Parameter.empty and name not in given
+    ]
+    if missing:
+        raise ValueError(f"{study} study requires {', '.join(missing)}")
+    if "order" in given:
+        given["order"] = {"p1": 1, "p2": 2}[given["order"]]
+    if "solver" in given:
+        given["solver"] = _solver_from(args)
+    if "workers" in given and not study.endswith("scaling"):
+        counts = given["workers"]
+        if len(counts) > 1:
+            raise ValueError(f"--workers={','.join(map(str, counts))}: only scaling studies take several counts")
+        given["workers"] = counts[0] if counts else None
+    return given
+
+
 def _dispatch(args) -> int:
     if args.study is None:
         raise ValueError("--study is required (single, convergence, characteristics, scaling)")
-    _check_flags_read(args)
-    study = args.study
-    order = {"p1": 1, "p2": 2, None: 1}[args.element]
-    solver = _solver_from(args)
-
+    study = f"{args.mode or DEFAULT_MODE} scaling" if args.study == "scaling" else args.study
+    _check_flags_read(args, study)
+    given = _study_arguments(args, study)
+    result = STUDIES[study](problem=mms_problem(), **given)
     if study == "single":
-        if args.h is None or args.tau is None or args.iota is None:
-            raise ValueError("single study requires --h, --tau and --iota")
-        if args.workers and len(args.workers) > 1:
-            counts = ",".join(map(str, args.workers))
-            raise ValueError(f"--workers={counts}: only scaling studies take several counts")
-        workers = args.workers[0] if args.workers else None
-        l2, h1 = run_single(
-            mms_problem(),
-            args.h,
-            args.tau,
-            args.iota,
-            order,
-            workers,
-            T=args.T,
-            solver=solver,
-            snapshot_steps=args.snapshots or (),
-            snapshot_dir=args.out,
-        )
+        l2, h1 = result
         # run_single's rule: a count of 1 runs sequentially
+        workers = given.get("workers")
         mode = f"{workers} pipelined workers" if workers not in (None, 1) else "sequential"
         print(f"single run ({mode}): h={args.h:g} tau={args.tau:g} iota={args.iota:g}")
         print(f"  worst-slice L2 error: {l2:.6E}")
         print(f"  worst-slice H1 error: {h1:.6E}")
         return EXIT_OK
-
-    if study in ("convergence", "characteristics"):
-        if not args.levels:
-            raise ValueError(f"{study} study requires --levels")
-        coupling = args.coupling or ("equal" if study == "characteristics" else "h2")
-        if study == "characteristics":
-            order = 2 if args.element is None else order
-        config = StudyConfig(
-            element_order=order,
-            levels=args.levels,
-            coupling=coupling,
-            workers=args.workers or (),
-            T=args.T,
-            solver=solver,
-        )
-        rows = characteristics_study(config) if study == "characteristics" else convergence_study(config)
-        return _emit(format_convergence_rows(rows), args.out)
-
-    # scaling: StudyConfig holds the defaults of the flags not given
-    given = dict(scaling_mode=args.mode, block=args.block, n_steps=args.steps)
-    config = StudyConfig(
-        element_order=order, workers=args.workers or (), h=args.h, iota=args.iota, solver=solver,
-        **{key: value for key, value in given.items() if value is not None},
-    )
-    return _emit(format_scaling_rows(scaling_study(config)), args.out)
+    table = format_scaling_rows if args.study == "scaling" else format_convergence_rows
+    return _emit(table(result), args.out)
 
 
 def main() -> None:

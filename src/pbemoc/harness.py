@@ -32,13 +32,13 @@ from .stepper import ProblemSpec, SeparableSource, run_sequential
 
 __all__ = [
     "MMSProblem",
-    "StudyConfig",
     "ConvergenceRow",
     "mms_problem",
     "run_single",
     "convergence_study",
     "characteristics_study",
-    "scaling_study",
+    "strong_scaling_study",
+    "weak_scaling_study",
     "format_convergence_rows",
     "format_scaling_rows",
     "COUPLINGS",
@@ -154,44 +154,6 @@ def mms_problem() -> MMSProblem:
 
 
 @dataclass(frozen=True)
-class StudyConfig:
-    """Parameters of a study.
-
-    Convergence-type studies use levels, coupling and T (None: the problem's
-    final time); scaling uses the worker sweep plus fixed discretization
-    parameters.
-    """
-
-    element_order: int = 1
-    levels: tuple[float, ...] = ()  # mesh sizes h, strictly decreasing
-    coupling: str = "h2"
-    workers: tuple[int, ...] = ()
-    h: float | None = None
-    iota: float | None = None
-    T: float | None = None
-    scaling_mode: str = "strong"
-    block: int = 8
-    n_steps: int = 32
-    solver: SolverConfig | None = None
-
-    def __post_init__(self):
-        if self.element_order not in (1, 2):
-            raise ValueError(f"unsupported element order {self.element_order}")
-        if self.coupling not in COUPLINGS:
-            raise ValueError(
-                f"unknown coupling {self.coupling!r}; expected one of {sorted(COUPLINGS)}"
-            )
-        if self.levels and any(
-            b >= a for a, b in zip(self.levels, self.levels[1:])
-        ):
-            raise ValueError(f"mesh levels must be strictly decreasing, got {self.levels}")
-        if self.scaling_mode not in ("strong", "weak"):
-            raise ValueError(f"unknown scaling mode {self.scaling_mode!r}")
-        if min(self.n_steps, self.block) < 1:
-            raise ValueError(f"n_steps and block must be >= 1, got {self.n_steps} and {self.block}")
-
-
-@dataclass(frozen=True)
 class ConvergenceRow:
     """One refinement level: mesh size, step sizes, errors, and observed orders."""
 
@@ -270,80 +232,91 @@ def _precheck_cfl(problem: MMSProblem, levels, coupling: str, T: float) -> None:
             raise CflViolationError(f"level h={h}: {exc}") from None
 
 
-def convergence_study(config: StudyConfig, problem: MMSProblem | None = None) -> list[ConvergenceRow]:
-    """Error table over a sweep of mesh sizes with coupled step sizes.
+def convergence_study(
+    levels: Sequence[float], order: int = 1, coupling: str = "h2", workers: int | None = None,
+    T: float | None = None, solver: SolverConfig | None = None, problem: MMSProblem | None = None,
+) -> list[ConvergenceRow]:
+    """Error table over strictly decreasing mesh sizes with coupled step sizes.
 
-    Order columns are log2 ratios of successive errors (levels halve).  The
-    study runs with at most one worker count, sequentially without one.
+    Order columns are the observed orders log(e_prev / e) / log(h_prev / h).
+    Each level is one run_single with the given worker count.
     """
-    if not config.levels:
+    if not levels:
         raise ValueError("convergence study needs at least one mesh level")
-    if len(config.workers) > 1:
-        raise ValueError(
-            f"workers={config.workers}: only scaling studies take several worker counts"
-        )
+    if any(b >= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"mesh levels must be strictly decreasing, got {levels}")
+    if coupling not in COUPLINGS:
+        raise ValueError(f"unknown coupling {coupling!r}; expected one of {sorted(COUPLINGS)}")
     problem = problem if problem is not None else mms_problem()
-    T = problem.T if config.T is None else config.T
-    _precheck_cfl(problem, config.levels, config.coupling, T)
-    rule = COUPLINGS[config.coupling]
-    workers = config.workers[0] if config.workers else None
+    T = problem.T if T is None else T
+    _precheck_cfl(problem, levels, coupling, T)
 
     rows: list[ConvergenceRow] = []
-    for h in config.levels:
-        tau, iota = rule(h)
-        l2, h1 = run_single(
-            problem, h, tau, iota, config.element_order, workers, T=T, solver=config.solver
-        )
+    for h in levels:
+        tau, iota = COUPLINGS[coupling](h)
+        l2, h1 = run_single(problem, h, tau, iota, order, workers, T=T, solver=solver)
         if rows:
-            l2_order = float(np.log2(rows[-1].l2_error / l2))
-            h1_order = float(np.log2(rows[-1].h1_error / h1))
+            refinement = np.log2(rows[-1].h / h)  # 1.0 exactly where levels halve
+            l2_order = float(np.log2(rows[-1].l2_error / l2) / refinement)
+            h1_order = float(np.log2(rows[-1].h1_error / h1) / refinement)
         else:
             l2_order = h1_order = None
         rows.append(ConvergenceRow(h, tau, iota, l2, l2_order, h1, h1_order))
     return rows
 
 
-def characteristics_study(config: StudyConfig, problem: MMSProblem | None = None) -> list[ConvergenceRow]:
+def characteristics_study(
+    levels: Sequence[float], workers: int | None = None, T: float | None = None,
+    solver: SolverConfig | None = None, problem: MMSProblem | None = None,
+) -> list[ConvergenceRow]:
     """Internal-coordinate refinement: quadratic elements with h = iota = tau.
 
     Spatial error is then negligible against the first-order transport error,
     so both norms converge at order one in the step size.
     """
-    if config.element_order != 2:
-        raise ValueError("the internal-coordinate study requires quadratic elements")
-    if config.coupling != "equal":
-        raise ValueError("the internal-coordinate study requires the coupling tau = iota = h")
-    return convergence_study(config, problem)
+    return convergence_study(levels, 2, "equal", workers, T, solver, problem)
 
 
-def scaling_study(config: StudyConfig, problem: MMSProblem | None = None) -> list[ScalingRow]:
-    """Sweep worker counts; strong mode fixes the problem, weak mode fixes the block size.
-
-    Both modes run with tau = iota (the tightest stable step) over n_steps
-    steps, so the integration horizon is n_steps * iota.  Worker counts above
-    the number of usable CPUs (pipeline.usable_cpus) are annotated as
-    oversubscribed.
-    """
+def strong_scaling_study(
+    workers: Sequence[int] = (1, 2), h: float = 2.0**-5, iota: float | None = None, steps: int = 32,
+    order: int = 1, solver: SolverConfig | None = None, problem: MMSProblem | None = None,
+) -> list[ScalingRow]:
+    """Sweep worker counts over one problem: 128 internal cells, or those of iota."""
     problem = problem if problem is not None else mms_problem()
-    workers = config.workers or (1, 2)
-    h = config.h if config.h is not None else 2.0**-5
-    order = config.element_order
+    cells = 128 if iota is None else _cell_count(problem, iota)
+    return _scaling_rows(problem, workers, h, steps, order, solver, lambda P: cells)
+
+
+def weak_scaling_study(
+    workers: Sequence[int] = (1, 2), h: float = 2.0**-5, block: int = 8, steps: int = 32,
+    order: int = 1, solver: SolverConfig | None = None, problem: MMSProblem | None = None,
+) -> list[ScalingRow]:
+    """Sweep worker counts with block internal nodes per worker: M = block * P - 1."""
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    problem = problem if problem is not None else mms_problem()
+    return _scaling_rows(problem, workers, h, steps, order, solver, lambda P: block * P - 1)
+
+
+def _scaling_rows(problem, workers, h, steps, order, solver, cells) -> list[ScalingRow]:
+    """One pipelined run per worker count P on problem.lgrid(cells(P)).
+
+    The runs step with tau = iota (the tightest stable step), so the horizon
+    is steps * iota.  Speedups are against the first count's run, and counts
+    above the usable CPUs (pipeline.usable_cpus) are marked oversubscribed.
+    """
+    if not workers:
+        raise ValueError("scaling study needs at least one worker count")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     mesh = build_structured_mesh(problem.domain, h, order)
     basis = reference_basis(order)
-
     rows: list[ScalingRow] = []
     baseline: PipelineRun | None = None
     for P in workers:
-        if config.scaling_mode == "weak":
-            M = config.block * P - 1
-        elif config.iota is not None:
-            M = _cell_count(problem, config.iota)
-        else:
-            M = 128
-        lgrid = problem.lgrid(M)
-        tau = lgrid.iota
-        tgrid = TimeGrid(config.n_steps * tau, config.n_steps)
-        run = run_pipeline(problem, mesh, basis, lgrid, tgrid, P, config.solver)
+        lgrid = problem.lgrid(cells(P))
+        tgrid = TimeGrid(steps * lgrid.iota, steps)
+        run = run_pipeline(problem, mesh, basis, lgrid, tgrid, P, solver)
         if baseline is None:
             baseline = run
         rows.append(timing_report(run, baseline))

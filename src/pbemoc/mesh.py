@@ -155,11 +155,14 @@ def build_structured_mesh(domain: Rectangle, h: float, order: int = 1) -> Spatia
 
 def _step_count(length: float, step: float, name: str, what: str) -> int:
     """Number of steps of size step that tile length; ValueError if step is
-    not positive or the steps do not tile length.
+    not positive, length is not finite and positive, or the steps do not
+    tile length.
 
     The steps may miss length by up to 1e-9 of it, relative, for rounding."""
     if not step > 0.0:  # NaN fails this test, not the reverse one
         raise ValueError(f"{name}={step} must be positive")
+    if not 0.0 < length < np.inf:
+        raise ValueError(f"{what} {length} must be finite and positive")
     count = int(round(length / step))
     if count < 1 or abs(count * step - length) > 1e-9 * length:
         raise ValueError(f"{name}={step} does not divide {what} {length}")

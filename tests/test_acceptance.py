@@ -21,7 +21,7 @@ from pbemoc.fem import (
     assemble_stiffness,
     make_solver,
 )
-from pbemoc.harness import StudyConfig, characteristics_study, convergence_study, scaling_study
+from pbemoc.harness import characteristics_study, convergence_study, weak_scaling_study
 from pbemoc.mesh import UNIT_SQUARE, build_structured_mesh, quadrature_rule, reference_basis
 from pbemoc.pipeline import run_pipeline, usable_cpus
 from pbemoc.stepper import ProblemSpec, initialize, precompute_operators, run_sequential, step_slice
@@ -32,14 +32,7 @@ from conftest import record_criterion
 
 def test_criterion_1_p1_spatial_convergence(mms):
     t0 = time.time()
-    rows = convergence_study(
-        StudyConfig(
-            element_order=1,
-            levels=(2.0**-2, 2.0**-3, 2.0**-4),
-            coupling="h2",
-        ),
-        mms,
-    )
+    rows = convergence_study((2.0**-2, 2.0**-3, 2.0**-4), order=1, coupling="h2", problem=mms)
     l2_order, h1_order = rows[-1].l2_order, rows[-1].h1_order
     ok = abs(l2_order - 2.0) <= 0.20 and abs(h1_order - 1.0) <= 0.10
     record_criterion(
@@ -54,14 +47,7 @@ def test_criterion_1_p1_spatial_convergence(mms):
 
 def test_criterion_2_p2_spatial_convergence(mms):
     t0 = time.time()
-    rows = convergence_study(
-        StudyConfig(
-            element_order=2,
-            levels=(2.0**-1, 2.0**-2, 2.0**-3),
-            coupling="h3",
-        ),
-        mms,
-    )
+    rows = convergence_study((2.0**-1, 2.0**-2, 2.0**-3), order=2, coupling="h3", problem=mms)
     l2_order, h1_order = rows[-1].l2_order, rows[-1].h1_order
     ok = abs(l2_order - 3.0) <= 0.30 and abs(h1_order - 2.0) <= 0.30
     record_criterion(
@@ -76,14 +62,8 @@ def test_criterion_2_p2_spatial_convergence(mms):
 
 def test_criterion_3_characteristics_order(mms):
     t0 = time.time()
-    rows = characteristics_study(
-        StudyConfig(
-            element_order=2,
-            levels=(2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5),
-            coupling="equal",
-        ),
-        mms,
-    )
+    # quadratic elements with tau = iota = h
+    rows = characteristics_study((2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5), problem=mms)
     l2_order, h1_order = rows[-1].l2_order, rows[-1].h1_order
     ok = abs(l2_order - 1.0) <= 0.10 and abs(h1_order - 1.0) <= 0.10
     record_criterion(
@@ -189,16 +169,7 @@ def test_criterion_5c_weak_scaling_balance(mms):
     t0 = time.time()
     cores = usable_cpus()
     workers = tuple(p for p in (1, 2, 4) if p <= max(cores, 2))
-    rows = scaling_study(
-        StudyConfig(
-            workers=workers,
-            h=2.0**-5,
-            block=8,
-            n_steps=8,
-            scaling_mode="weak",
-        ),
-        mms,
-    )
+    rows = weak_scaling_study(workers, h=2.0**-5, block=8, steps=8, problem=mms)
     ratios = [r.max_worker_seconds / r.avg_worker_seconds for r in rows]
     ok = all(r <= 1.5 for r in ratios)
     record_criterion(

@@ -97,8 +97,11 @@ def test_a_mesh_with_no_free_dof_is_a_configuration_error(capsys, args):
 
 
 def test_characteristics_requires_quadratic(capsys):
-    code = cli_main(["--study", "characteristics", "--element", "p1", "--levels", "1,2"])
-    assert code == EXIT_CONFIG
+    # the study fixes P2 with tau = iota = h, so neither flag is read, whatever its value
+    for flag, value in (("--element", "p1"), ("--element", "p2"), ("--coupling", "equal")):
+        code = cli_main(["--study", "characteristics", flag, value, "--levels", "1,2"])
+        assert code == EXIT_CONFIG
+        assert f"the characteristics study does not read {flag}" in capsys.readouterr().err
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
@@ -359,8 +362,6 @@ def flag_args(dest, value):
 def test_a_study_runs_with_every_flag_it_reads_and_rejects_every_other(tmp_path, capsys, study):
     words = study.split()  # "strong scaling" is --study scaling --mode strong
     values = dict(VALID, study=words[-1], mode=words[0], out=str(tmp_path / "out"))
-    if study == "characteristics":
-        values["element"] = "p2"
     read = cli.STUDY_FLAGS[study] - {"config"}
     args = [token for dest in sorted(read) for token in flag_args(dest, values[dest])]
     assert cli_main(args) == EXIT_OK, capsys.readouterr().err
@@ -378,6 +379,18 @@ def test_a_study_runs_with_every_flag_it_reads_and_rejects_every_other(tmp_path,
         cfg.write_text(f"{dest} = {VALID[dest]}\n")
         assert cli_main(args + ["--config", str(cfg)]) == EXIT_CONFIG
         assert f"does not read {flag}" in capsys.readouterr().err
+
+
+def test_study_flags_are_the_flags_of_the_study_function_s_parameters():
+    own = {"study", "config", "out"}  # the CLI's; --out sets a single run's snapshot_dir
+    solver = {"solver", "solver_tol"}
+    assert cli.STUDY_FLAGS == {
+        "single": own | solver | {"element", "h", "tau", "iota", "workers", "T", "snapshots"},
+        "convergence": own | solver | {"element", "levels", "coupling", "workers", "T"},
+        "characteristics": own | solver | {"levels", "workers", "T"},
+        "strong scaling": own | solver | {"mode", "element", "workers", "h", "iota", "steps"},
+        "weak scaling": own | solver | {"mode", "element", "workers", "h", "block", "steps"},
+    }
 
 
 def test_every_flag_given_that_the_study_does_not_read_is_named(capsys):
@@ -419,4 +432,20 @@ def test_a_step_that_is_not_positive_is_a_configuration_error_naming_it(capsys, 
     assert cli_main(args) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.err == f"pbemoc: configuration error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("T", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--study", "single", "--h", "0.5", "--tau", "0.25", "--iota", "0.25"],
+        ["--study", "convergence", "--levels", "1"],
+    ],
+    ids=["single", "convergence"],
+)
+def test_a_final_time_that_is_not_finite_is_a_configuration_error_naming_it(capsys, args, T):
+    assert cli_main(args + ["--T", T]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"pbemoc: configuration error: the final time {T} must be finite and positive\n"
     assert captured.out == ""

@@ -13,7 +13,8 @@ import pytest
 import sympy
 
 from pbemoc.characteristics import TimeGrid
-from pbemoc.harness import MMSProblem, StudyConfig, convergence_study
+from pbemoc.fem import SolverConfig
+from pbemoc.harness import MMSProblem, convergence_study
 from pbemoc.mesh import Rectangle, build_structured_mesh, reference_basis
 from pbemoc.pipeline import run_pipeline
 from pbemoc.stepper import run_sequential
@@ -123,20 +124,27 @@ def test_the_problem_exercises_what_the_benchmark_problem_does_not(problem):
 
 
 def test_p1_orders_fall_in_criterion_1_bands(problem):
-    rows = convergence_study(
-        StudyConfig(element_order=1, levels=(2.0**-2, 2.0**-3, 2.0**-4), coupling="h2"), problem
-    )
+    rows = convergence_study((2.0**-2, 2.0**-3, 2.0**-4), order=1, coupling="h2", problem=problem)
     l2_order, h1_order = rows[-1].l2_order, rows[-1].h1_order
     assert abs(l2_order - 2.0) <= 0.20, [r.l2_order for r in rows]
     assert abs(h1_order - 1.0) <= 0.10, [r.h1_order for r in rows]
 
 
 def test_sequential_equals_pipeline_bitwise(problem):
-    mesh = build_structured_mesh(DOMAIN, 2.0**-3, 1)
-    basis = reference_basis(1)
-    lgrid, tgrid = problem.lgrid(32), TimeGrid(T, 16)  # tau = iota = 1/64
-    want = run_sequential(problem, mesh, basis, lgrid, tgrid).as_matrix().tobytes()
-    for P in (1, 2, 3):
-        run = run_pipeline(problem, mesh, basis, lgrid, tgrid, P)
-        assert run.surface.as_matrix().tobytes() == want, P
-        assert run.messages_sent == (P - 1) * tgrid.N
+    # P1 and P2; a dyadic tau and a non-dyadic one (N = 17: tau * max G = 0.011
+    # <= iota = 1/64); the direct solver bitwise, GMRES within criterion 4's 1e-10
+    lgrid = problem.lgrid(32)
+    gmres = SolverConfig("iterative")
+    for order, h in ((1, 2.0**-3), (2, 2.0**-2)):
+        mesh, basis = build_structured_mesh(DOMAIN, h, order), reference_basis(order)
+        for N in (16, 17):
+            tgrid = TimeGrid(T, N)
+            want = run_sequential(problem, mesh, basis, lgrid, tgrid).as_matrix().tobytes()
+            for P in (1, 2, 3):
+                run = run_pipeline(problem, mesh, basis, lgrid, tgrid, P)
+                assert run.surface.as_matrix().tobytes() == want, (order, N, P)
+                assert run.messages_sent == (P - 1) * N
+            seq = run_sequential(problem, mesh, basis, lgrid, tgrid, gmres).as_matrix()
+            for P in (2, 3):
+                diff = np.abs(run_pipeline(problem, mesh, basis, lgrid, tgrid, P, gmres).surface.as_matrix() - seq)
+                assert diff.max() <= 1e-10, (order, N, P)

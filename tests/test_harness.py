@@ -12,14 +12,14 @@ from pbemoc.characteristics import CflViolationError
 from pbemoc.harness import (
     COUPLINGS,
     ConvergenceRow,
-    StudyConfig,
     characteristics_study,
     convergence_study,
     format_convergence_rows,
     format_scaling_rows,
     mms_problem,
     run_single,
-    scaling_study,
+    strong_scaling_study,
+    weak_scaling_study,
 )
 from pbemoc.mesh import UNIT_SQUARE, build_structured_mesh
 from pbemoc.pipeline import ScalingRow
@@ -136,22 +136,52 @@ def test_exact_gradient_consistent_with_exact(mms):
 
 
 # ---------------------------------------------------------------------------
-# study configuration
+# study parameters
 
 
-def test_config_validation():
+def test_config_validation(mms, monkeypatch):
+    # every check fires before any run
+    from pbemoc import harness
+
+    monkeypatch.setattr(harness, "run_pipeline", lambda *args: pytest.fail("a run started"))
+    monkeypatch.setattr(harness, "run_sequential", lambda *args, **kwargs: pytest.fail("a run started"))
     with pytest.raises(ValueError, match="order"):
-        StudyConfig(element_order=3)
+        convergence_study((0.5,), order=3)
+    with pytest.raises(ValueError, match="order"):
+        strong_scaling_study((1,), h=0.5, order=3)
     with pytest.raises(ValueError, match="coupling"):
-        StudyConfig(coupling="h4")
+        convergence_study((0.5,), coupling="h4")
     with pytest.raises(ValueError, match="decreasing"):
-        StudyConfig(levels=(0.25, 0.5))
-    with pytest.raises(ValueError, match="scaling"):
-        StudyConfig(scaling_mode="diagonal")
-    with pytest.raises(ValueError, match="n_steps and block must be >= 1, got 0 and 8"):
-        StudyConfig(n_steps=0)
-    with pytest.raises(ValueError, match="n_steps and block must be >= 1, got 32 and 0"):
-        StudyConfig(block=0)
+        convergence_study((0.25, 0.5))
+    with pytest.raises(ValueError, match="decreasing"):
+        characteristics_study((0.25, 0.5))
+    with pytest.raises(ValueError, match="^steps must be >= 1, got 0$"):
+        strong_scaling_study((1,), h=0.5, steps=0)
+    with pytest.raises(ValueError, match="^steps must be >= 1, got 0$"):
+        weak_scaling_study((1,), h=0.5, steps=0)
+    with pytest.raises(ValueError, match="^block must be >= 1, got 0$"):
+        weak_scaling_study((1,), h=0.5, block=0)
+    with pytest.raises(ValueError, match="at least one worker count"):
+        strong_scaling_study((), h=0.5)
+
+
+@pytest.mark.parametrize(
+    "study, kwargs",
+    [
+        (weak_scaling_study, dict(iota=0.3)),
+        (strong_scaling_study, dict(block=4)),
+        (strong_scaling_study, dict(scaling_mode="weak")),
+        (convergence_study, dict(h=0.125)),
+        (convergence_study, dict(n_steps=7)),
+        (characteristics_study, dict(order=2)),
+        (characteristics_study, dict(coupling="equal")),
+    ],
+    ids=["weak-iota", "strong-block", "scaling-mode", "convergence-h", "convergence-steps", "char-order", "char-coupling"],
+)
+def test_a_study_rejects_an_input_it_does_not_read(mms, study, kwargs):
+    args = () if "scaling" in study.__name__ else ((0.5,),)
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        study(*args, problem=mms, **kwargs)
 
 
 def test_coupling_rules():
@@ -160,11 +190,11 @@ def test_coupling_rules():
     assert COUPLINGS["equal"](0.5) == (0.5, 0.5)
 
 
-def test_characteristics_study_requires_quadratic_equal():
-    with pytest.raises(ValueError, match="quadratic"):
-        characteristics_study(StudyConfig(element_order=1, levels=(0.25,), coupling="equal"))
-    with pytest.raises(ValueError, match="tau = iota"):
-        characteristics_study(StudyConfig(element_order=2, levels=(0.25,), coupling="h2"))
+def test_characteristics_study_requires_quadratic_equal(mms):
+    # order and coupling are fixed, not inputs
+    rows = characteristics_study((0.5,), T=0.5)
+    assert rows == convergence_study((0.5,), order=2, coupling="equal", T=0.5)
+    assert (rows[0].h, rows[0].tau, rows[0].iota) == (0.5, 0.5, 0.5)
 
 
 def test_study_rejected_before_any_run_on_cfl_violation(mms):
@@ -173,9 +203,8 @@ def test_study_rejected_before_any_run_on_cfl_violation(mms):
     import dataclasses
 
     fast = dataclasses.replace(mms, G=lambda l: np.full_like(np.asarray(l, dtype=float), 3.0))
-    config = StudyConfig(element_order=1, levels=(0.5, 0.25), coupling="equal")
     with pytest.raises(CflViolationError):
-        convergence_study(config, fast)
+        convergence_study((0.5, 0.25), coupling="equal", problem=fast)
 
 
 def test_study_rejects_a_level_whose_grids_do_not_divide_before_any_run(mms, monkeypatch):
@@ -189,9 +218,8 @@ def test_study_rejects_a_level_whose_grids_do_not_divide_before_any_run(mms, mon
         return run_single(*args, **kwargs)
 
     monkeypatch.setattr(harness, "run_single", counting_run_single)
-    config = StudyConfig(element_order=1, levels=(0.5, 0.3), coupling="equal")
     with pytest.raises(ValueError, match="does not divide"):
-        convergence_study(config)
+        convergence_study((0.5, 0.3), coupling="equal")
     assert calls == []
 
 
@@ -204,9 +232,8 @@ def test_study_precheck_applies_the_run_gate_and_names_level_and_slice(mms, monk
     calls = []
     monkeypatch.setattr(harness, "run_single", lambda *args, **kwargs: calls.append(args))
     bumpy = dataclasses.replace(mms, G=lambda l: 1.0 + np.sin(2.0 * np.pi * l) ** 2)
-    config = StudyConfig(element_order=1, levels=(0.5, 0.25), coupling="equal")
     with pytest.raises(CflViolationError, match=r"^level h=0.25: .* of slice m=1 falls below"):
-        convergence_study(config, bumpy)
+        convergence_study((0.5, 0.25), coupling="equal", problem=bumpy)
     assert calls == []
 
 
@@ -214,8 +241,7 @@ def test_study_accepts_the_zero_growth_the_runs_accept(mms):
     import dataclasses
 
     still = dataclasses.replace(mms, G=lambda l: np.zeros_like(np.asarray(l, dtype=float)))
-    config = StudyConfig(element_order=1, levels=(0.5,), coupling="equal")
-    row = convergence_study(config, still)[0]
+    row = convergence_study((0.5,), coupling="equal", problem=still)[0]
     assert (row.l2_error, row.h1_error) == run_single(still, 0.5, 0.5, 0.5)
 
 
@@ -224,8 +250,7 @@ def test_study_accepts_the_zero_growth_the_runs_accept(mms):
 
 
 def test_convergence_rows_and_order_columns(mms):
-    config = StudyConfig(element_order=1, levels=(0.5, 0.25), coupling="h2")
-    rows = convergence_study(config)
+    rows = convergence_study((0.5, 0.25), order=1, coupling="h2")
     assert len(rows) == 2
     assert rows[0].l2_order is None and rows[0].h1_order is None
     assert rows[1].l2_order == pytest.approx(np.log2(rows[0].l2_error / rows[1].l2_error), abs=1e-12)
@@ -234,21 +259,27 @@ def test_convergence_rows_and_order_columns(mms):
     assert rows[1].tau == rows[1].h ** 2 and rows[1].iota == rows[1].h ** 2
 
 
+def test_order_columns_divide_by_the_refinement_ratio(mms):
+    # levels that quarter h: the observed order is log(e ratio) / log(h ratio)
+    coarse, fine = convergence_study((2.0**-2, 2.0**-4), order=1, coupling="h2")
+    halving = convergence_study((2.0**-2, 2.0**-3), order=1, coupling="h2")[1]
+    assert fine.l2_order == pytest.approx(np.log2(coarse.l2_error / fine.l2_error) / 2, abs=1e-12)
+    assert fine.h1_order == pytest.approx(np.log2(coarse.h1_error / fine.h1_error) / 2, abs=1e-12)
+    assert abs(fine.l2_order - halving.l2_order) <= 0.1
+    assert abs(fine.h1_order - halving.h1_order) <= 0.1
+
+
 def test_convergence_study_with_workers_matches_sequential(mms):
-    base = StudyConfig(element_order=1, levels=(0.25,), coupling="h2")
-    seq_rows = convergence_study(base)
-    par_rows = convergence_study(
-        StudyConfig(element_order=1, levels=(0.25,), coupling="h2", workers=(2,))
-    )
+    seq_rows = convergence_study((0.25,), order=1, coupling="h2")
+    par_rows = convergence_study((0.25,), order=1, coupling="h2", workers=2)
     assert par_rows[0].l2_error == seq_rows[0].l2_error
     assert par_rows[0].h1_error == seq_rows[0].h1_error
 
 
 def test_convergence_study_runs_to_the_configured_final_time(mms):
-    config = StudyConfig(element_order=1, levels=(0.5,), coupling="equal", T=0.5)
-    row = convergence_study(config)[0]
+    row = convergence_study((0.5,), order=1, coupling="equal", T=0.5)[0]
     assert (row.l2_error, row.h1_error) == run_single(mms, 0.5, 0.5, 0.5, T=0.5)
-    default = convergence_study(StudyConfig(element_order=1, levels=(0.5,), coupling="equal"))[0]
+    default = convergence_study((0.5,), order=1, coupling="equal")[0]
     assert (default.l2_error, default.h1_error) == run_single(mms, 0.5, 0.5, 0.5, T=mms.T)
     assert default.l2_error != row.l2_error
 
@@ -257,9 +288,8 @@ def test_convergence_study_runs_to_the_configured_final_time(mms):
 def test_a_worker_count_below_one_is_rejected_not_run_sequentially(mms, workers):
     with pytest.raises(ValueError, match=f"worker count must be >= 1, got {workers}"):
         run_single(mms, 0.5, 0.25, 0.25, workers=workers)
-    config = StudyConfig(levels=(0.5,), workers=(workers,))
     with pytest.raises(ValueError, match=f"worker count must be >= 1, got {workers}"):
-        convergence_study(config, mms)
+        convergence_study((0.5,), workers=workers, problem=mms)
 
 
 def test_pipelined_run_rejects_snapshots_before_running(mms, tmp_path):
@@ -281,18 +311,28 @@ def test_a_step_that_is_not_positive_is_rejected_naming_it(mms, step):
         "h": [
             lambda: build_structured_mesh(UNIT_SQUARE, step, 1),
             lambda: run_single(mms, step, 0.25, 0.25),
-            lambda: scaling_study(StudyConfig(workers=(1,), h=step, n_steps=1), mms),
+            lambda: strong_scaling_study((1,), h=step, steps=1, problem=mms),
+            lambda: weak_scaling_study((1,), h=step, steps=1, problem=mms),
         ],
         "tau": [lambda: run_single(mms, 0.5, step, 0.25)],
         "iota": [
             lambda: run_single(mms, 0.5, 0.25, step),
-            lambda: scaling_study(StudyConfig(workers=(1,), h=0.5, iota=step, n_steps=1), mms),
+            lambda: strong_scaling_study((1,), h=0.5, iota=step, steps=1, problem=mms),
         ],
     }
     for name, calls in runs.items():
         for call in calls:
             with pytest.raises(ValueError, match=f"^{name}={step} must be positive$"):
                 call()
+
+
+@pytest.mark.parametrize("T", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_a_final_time_that_is_not_finite_is_rejected_naming_it(mms, T):
+    message = f"^the final time {T} must be finite and positive$"
+    with pytest.raises(ValueError, match=message):
+        run_single(mms, 0.5, 0.25, 0.25, T=T)
+    with pytest.raises(ValueError, match=message):
+        convergence_study((0.5,), T=T, problem=mms)
 
 
 def test_halving_the_internal_spacing_halves_the_transport_error(mms):
@@ -306,31 +346,24 @@ def test_halving_the_internal_spacing_halves_the_transport_error(mms):
 
 
 def test_scaling_study_strong_and_weak(mms):
-    config = StudyConfig(
-        workers=(1, 2), h=0.25, iota=1.0 / 16, n_steps=4, scaling_mode="strong"
-    )
-    rows = scaling_study(config)
+    rows = strong_scaling_study((1, 2), h=0.25, iota=1.0 / 16, steps=4)
     assert [r.workers for r in rows] == [1, 2]
     assert rows[0].speedup == pytest.approx(1.0)
     assert all(r.total_seconds > 0 for r in rows)
 
-    weak = scaling_study(
-        StudyConfig(workers=(1, 2), h=0.25, block=4, n_steps=4, scaling_mode="weak")
-    )
+    weak = weak_scaling_study((1, 2), h=0.25, block=4, steps=4)
     assert all(r.max_worker_seconds >= r.avg_worker_seconds > 0 for r in weak)
 
 
 def test_scaling_study_rejects_a_non_dividing_iota(mms):
     # strong scaling tiles [0, 1] with the same rule as the other studies
-    config = StudyConfig(workers=(1,), h=0.5, iota=0.3, n_steps=1)
     with pytest.raises(ValueError, match="iota=0.3 does not divide"):
-        scaling_study(config)
+        strong_scaling_study((1,), h=0.5, iota=0.3, steps=1)
 
 
 def test_convergence_study_takes_one_worker_count(mms):
-    config = StudyConfig(element_order=1, levels=(0.5,), workers=(1, 2))
-    with pytest.raises(ValueError, match="workers"):
-        convergence_study(config)
+    with pytest.raises(TypeError):
+        convergence_study((0.5,), order=1, workers=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +371,7 @@ def test_convergence_study_takes_one_worker_count(mms):
 
 
 def test_convergence_csv_round_trip(mms):
-    rows = convergence_study(
-        StudyConfig(element_order=1, levels=(0.5, 0.25), coupling="h2")
-    )
+    rows = convergence_study((0.5, 0.25), order=1, coupling="h2")
     text = format_convergence_rows(rows)
     assert text.splitlines()[0] == "h,tau,iota,l2_error,l2_order,h1_error,h1_order"
 
@@ -367,7 +398,6 @@ def test_scaling_csv_round_trip():
 
 
 def test_study_csv_deterministic(tmp_path):
-    config = StudyConfig(element_order=1, levels=(0.5,), coupling="h2")
-    a = format_convergence_rows(convergence_study(config))
-    b = format_convergence_rows(convergence_study(config))
+    a = format_convergence_rows(convergence_study((0.5,), order=1, coupling="h2"))
+    b = format_convergence_rows(convergence_study((0.5,), order=1, coupling="h2"))
     assert a == b

@@ -134,6 +134,11 @@ def test_h_within_rounding_of_a_divisor_is_accepted():
         build_structured_mesh(Rectangle(0.0, 3.0, 0.0, 1.0), 0.5000005, 1)
 
 
+def test_a_side_that_is_not_finite_is_rejected_naming_it():
+    with pytest.raises(ValueError, match="^the x-side of length inf must be finite and positive$"):
+        build_structured_mesh(Rectangle(0.0, np.inf, 0.0, 1.0), 0.5, 1)
+
+
 def test_degenerate_rectangle_rejected():
     with pytest.raises(ValueError, match="degenerate"):
         Rectangle(0.0, 0.0, 0.0, 1.0)

@@ -1304,7 +1304,7 @@ def test_check_cfl_is_never_reached_by_a_run_or_a_study(mms, monkeypatch):
     # check_cfl is a report; the runs and the study pre-check gate on the nodes
     import pbemoc
     from pbemoc import characteristics, harness, pipeline
-    from pbemoc.harness import StudyConfig, convergence_study
+    from pbemoc.harness import convergence_study
 
     def sampled_gate(*args):
         raise AssertionError("check_cfl was called")
@@ -1315,7 +1315,7 @@ def test_check_cfl_is_never_reached_by_a_run_or_a_study(mms, monkeypatch):
     precompute_operators(mesh, basis, mms, tgrid.tau, lgrid)
     surface = run_sequential(mms, mesh, basis, lgrid, tgrid).as_matrix()
     assert run_pipeline(mms, mesh, basis, lgrid, tgrid, 2).surface.as_matrix().tobytes() == surface.tobytes()
-    assert len(convergence_study(StudyConfig(levels=(0.5,), coupling="equal"), mms)) == 1
+    assert len(convergence_study((0.5,), coupling="equal", problem=mms)) == 1
 
 
 @pytest.mark.parametrize(
