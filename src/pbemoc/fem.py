@@ -438,36 +438,37 @@ class RitzProjector:
             self._last_key, self._last_solution = key, self._solver.solve(rhs)
         return self._last_solution.copy()
 
-    def _project_family(self, g: Callable, g_grad: Callable, params: np.ndarray):
+    def _project_family(self, g: Callable, g_grad: Callable, params: np.ndarray, m0: int):
         """Yield project(g(params[i], x, y), g_grad(params[i], x, y)) for each i in turn.
 
-        g and g_grad are called once per group of parameters, with the group
-        as a (k, 1) column and x, y as 1-D point arrays, so row i of a result
-        may depend only on params[i]; a 1-D result is broadcast over the group.
-        A group holds about one solver panel of gradient values.  Each member
-        then goes through project, so it gets the bytes project gives it.
+        g and g_grad are the initial data z_init and z_init_grad of the slices
+        (0, m0 + i), called once per group of about one solver panel of values,
+        with the group as a (k, 1) column (_family_rows).  Each member then
+        goes through project, so it gets the bytes project gives it.
         """
         loads = self._loads
         nq = loads.x.size
         group = max(1, PANEL * self._interior.size // nq)  # sized by the DOF count
         for s in range(0, len(params), group):
             p = np.asarray(params[s : s + group], dtype=float)[:, None]
-            trace = _family_rows(g(p, self._bx, self._by), p.size, self._bx.size)
-            gx, gy = (_family_rows(c, p.size, nq) for c in g_grad(p, loads.x, loads.y))
+            trace = _family_rows(g(p, self._bx, self._by), p.size, self._bx.size, "z_init", 0, m0 + s)
+            gx, gy = (_family_rows(c, p.size, nq, "z_init_grad", 0, m0 + s) for c in g_grad(p, loads.x, loads.y))
             for i in range(p.size):
                 yield self.project(lambda x, y, i=i: trace[i], lambda x, y, i=i: (gx[i], gy[i]))
 
 
-def _family_rows(values, k: int, q: int) -> np.ndarray:
-    """Values of a family member evaluated for a (k, 1) parameter column and
-    (q,) points, as k rows of q values."""
+def _family_rows(values, k: int, q: int, name: str, n: int, m: int) -> np.ndarray:
+    """Values of data evaluated for the slices (n, m..m+k-1) with l as a (k, 1)
+    column and (q,) points, as k rows of q values: a (k, q) result, or a (q,) one
+    broadcast over the rows; another shape is a ValueError naming name and (n, m)."""
     values = np.asarray(values, dtype=float)
     try:
         return np.broadcast_to(values, (k, q))
     except ValueError:
         raise ValueError(
-            f"data evaluated with a (k, 1) parameter column and (q,) points must "
-            f"have shape (k, q) or (q,); got {values.shape} for k={k}, q={q}"
+            f"{name} evaluated for the slices from (n, m) = ({n}, {m}) with a (k, 1) "
+            f"parameter column and (q,) points must have shape (k, q) or (q,); "
+            f"got {values.shape} for k={k}, q={q}"
         ) from None
 
 
@@ -499,6 +500,7 @@ class ErrorEvaluator:
 
     def __init__(self, mesh: SpatialMesh, basis: BasisSet):
         self._qd = _data_quad(mesh, basis)
+        self._group = max(1, PANEL * mesh.num_nodes // self._qd.x.size)  # the group size of level 0
 
     def norms(self, values: np.ndarray, exact: Callable, exact_grad: Callable) -> tuple[float, float]:
         qd = self._qd
@@ -514,3 +516,17 @@ class ErrorEvaluator:
         )
         return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
 
+    def worst_norms(self, rows, exact: Callable, exact_grad: Callable, t: float, l, n: int, m0: int):
+        """The largest norms of rows[i], slice (n, m0 + i), against exact(t, l[i], x, y),
+        which is called, as exact_grad is, once per group of slices with l as a (k, 1) column."""
+        shape, x, y = self._qd.x.shape, *self._qd.points
+        worst_l2 = worst_h1 = 0.0
+        for s in range(0, len(l), self._group):
+            col = np.asarray(l[s : s + self._group], dtype=float)[:, None]
+            ex = _family_rows(exact(t, col, x, y), col.size, x.size, "exact", n, m0 + s)
+            gx, gy = (_family_rows(c, col.size, x.size, "exact_grad", n, m0 + s) for c in exact_grad(t, col, x, y))
+            for i in range(col.size):
+                z, zx, zy = (v[i].reshape(shape) for v in (ex, gx, gy))
+                l2, h1 = self.norms(rows[s + i], lambda x, y: z, lambda x, y: (zx, zy))
+                worst_l2, worst_h1 = max(worst_l2, l2), max(worst_h1, h1)
+        return worst_l2, worst_h1

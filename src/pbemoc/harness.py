@@ -70,7 +70,8 @@ class MMSProblem(ProblemSpec):
         return LGrid(self.l_min, self.l_max, M)
 
     def exact_at(self, t: float, l: float):
-        """Freeze (t, l): returns (field, gradient) callables over (x, y)."""
+        """Freeze (t, l): returns (field, gradient) callables over (x, y).
+        No code in the package calls it: run_single uses ErrorEvaluator.worst_norms."""
         return (
             lambda x, y: self.exact(t, l, x, y),
             lambda x, y: self.exact_grad(t, l, x, y),
@@ -211,14 +212,9 @@ def run_single(
             problem, mesh, basis, lgrid, tgrid, solver,
             snapshot_steps=snapshot_steps, snapshot_dir=snapshot_dir,
         )
-    evaluator = ErrorEvaluator(mesh, basis)
-    worst_l2 = worst_h1 = 0.0
-    for m in range(1, lgrid.M + 1):
-        exact, exact_grad = problem.exact_at(T, float(lgrid.nodes[m]))
-        l2, h1 = evaluator.norms(surface.slices[m].values, exact, exact_grad)
-        worst_l2 = max(worst_l2, l2)
-        worst_h1 = max(worst_h1, h1)
-    return worst_l2, worst_h1
+    return ErrorEvaluator(mesh, basis).worst_norms(
+        surface.as_matrix()[1:], problem.exact, problem.exact_grad, T, lgrid.nodes[1:], tgrid.N, 1
+    )
 
 
 def _precheck_cfl(problem: MMSProblem, levels, coupling: str, T: float) -> None:

@@ -32,6 +32,10 @@ __all__ = [
 # absolute tolerance used to flag nodes sitting on the rectangle boundary
 BOUNDARY_TOL = 1e-12
 
+# the most steps _step_count accepts and the most nodes a mesh may have, far
+# above any study, so that an input never starts a run it cannot finish
+MAX_COUNT = 2**31
+
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -124,6 +128,9 @@ def build_structured_mesh(domain: Rectangle, h: float, order: int = 1) -> Spatia
         raise ValueError(f"unsupported element order {order}; expected 1 or 2")
     nx = _step_count(domain.width, h, "h", "the x-side of length")
     ny = _step_count(domain.height, h, "h", "the y-side of length")
+    num_nodes = (order * nx + 1) * (order * ny + 1)
+    if num_nodes > MAX_COUNT:
+        raise ValueError(f"h={h} gives an order-{order} mesh of {num_nodes} nodes; at most {MAX_COUNT} are allowed")
 
     xs = np.linspace(domain.x0, domain.x1, nx + 1)
     ys = np.linspace(domain.y0, domain.y1, ny + 1)
@@ -155,15 +162,18 @@ def build_structured_mesh(domain: Rectangle, h: float, order: int = 1) -> Spatia
 
 def _step_count(length: float, step: float, name: str, what: str) -> int:
     """Number of steps of size step that tile length; ValueError if step is
-    not positive, length is not finite and positive, or the steps do not
-    tile length.
+    not positive, length is not finite and positive, more than MAX_COUNT
+    steps would tile it, or the steps do not tile length.
 
     The steps may miss length by up to 1e-9 of it, relative, for rounding."""
     if not step > 0.0:  # NaN fails this test, not the reverse one
         raise ValueError(f"{name}={step} must be positive")
     if not 0.0 < length < np.inf:
         raise ValueError(f"{what} {length} must be finite and positive")
-    count = int(round(length / step))
+    ratio = length / step  # inf for a subnormal step
+    if not ratio <= MAX_COUNT:
+        raise ValueError(f"{name}={step} makes {ratio:.3g} steps of {what} {length}; at most {MAX_COUNT} are allowed")
+    count = int(round(ratio))
     if count < 1 or abs(count * step - length) > 1e-9 * length:
         raise ValueError(f"{name}={step} does not divide {what} {length}")
     return count

@@ -35,10 +35,10 @@ a_j(l_m) tabulated once per run, and the loads form one CSR step operator
 by 1/tau: one sparse product of it with the chunk's blends and coefficients
 c(t) a_j(l_m) gives the right-hand sides, the mass terms first and the loads
 after them in field order.  Any other source has the mass product scaled by
-1/tau, and its load is evaluated at the quadrature points, assembled once
-per slice and taken on the free rows.  The mass terms of the boundary
-columns, which the full product would add, are products with exact zeros
-and do not change a sum.
+1/tau, and is evaluated at the quadrature points once per chunk, with l as
+a (k, 1) column, and assembled once per chunk by one sparse product on the
+free rows.  The mass terms of the boundary columns, which the full product
+would add, are products with exact zeros and do not change a sum.
 
 Rounding: for tau = 2^-k, scaling the mass entries by 1/tau is exact, so a
 separable source's right-hand side is bit for bit (M z)(1/tau) plus the
@@ -72,6 +72,7 @@ from .fem import (
     RitzProjector,
     SolveFailure,
     SolverConfig,
+    _family_rows,
     _run_operators,
     apply_dirichlet,
     make_solver,
@@ -132,12 +133,13 @@ class ProblemSpec:
     z_bdry(t, x, y); the *_grad companions return the spatial gradient as an
     (fx, fy) pair.  G(l) is the growth rate along the internal coordinate.
     A source given as a SeparableSource enters the time steps through loads
-    assembled once per run; any other callable is evaluated per slice.  The
-    final time is the TimeGrid's, not the problem's.
+    assembled once per run, any other callable once per chunk of fem.PANEL
+    slices.  The final time is the TimeGrid's.
 
-    z_init and z_init_grad are evaluated for several slices per call, with l
-    as a (k, 1) column and x, y as (q,) arrays: row i of a result may depend
-    only on l[i], and a (q,) result is broadcast over the k rows.
+    z_init, z_init_grad and any other source are evaluated for several
+    slices per call, with l as a (k, 1) column and x, y as (q,) arrays: row
+    i of a result may depend only on l[i], and a (q,) result is broadcast
+    over the k rows; another shape is a ValueError naming the callable.
     """
 
     epsilon: float
@@ -233,6 +235,7 @@ class Operators:
             )
         else:
             self.step = self.mass[free][:, free]
+            self.point_loads = self.load._matrix[free]  # the loads of point values on free rows
         # chunk buffers of advance_block, one column per slice of a chunk of
         # PANEL slices: the operand of the step operator and the blend's
         # same-index term
@@ -335,7 +338,7 @@ def _initial_level(ops: Operators, block: range) -> np.ndarray:
     spec, projector = ops.spec, ops.projector
     rows = np.empty((len(block), ops.free.size))
     first = max(block.start, 1)
-    members = projector._project_family(spec.z_init, spec.z_init_grad, ops.lgrid.nodes[first : block.stop])
+    members = projector._project_family(spec.z_init, spec.z_init_grad, ops.lgrid.nodes[first : block.stop], first)
     try:
         for m in range(first, block.stop):
             rows[m - block.start] = next(members)
@@ -399,10 +402,11 @@ def advance_block(
     separable source's coefficients c(t) a_j(l_m) below it, and one product
     with the step operator [M/tau | L_1 ... L_J] gives the right-hand sides,
     which are solved straight into out.  Any other source has its mass
-    product scaled by 1/tau and its load evaluated, assembled and taken on
-    the free rows once per slice.  Each column's arithmetic does not depend
-    on the chunk, and the solver works on panels of a fixed width, so every
-    row gets the same bytes in any block.
+    product scaled by 1/tau, and is evaluated once per chunk, with l as a
+    (k, 1) column, and assembled on the free rows with one sparse product
+    per chunk.  Each column's arithmetic does not depend on the chunk, and
+    the solver works on panels of a fixed width, so every row gets the same
+    bytes in any block.
     Raises SolveFailure at the first slice with a non-finite value, and at
     the first slice of a chunk whose solve fails.
     """
@@ -431,11 +435,10 @@ def advance_block(
         if factors is not None:
             np.multiply(c_t, factors[:, m : m + k], out=x[nfree:])
         rhs = ops.step @ x
-        if factors is None:  # step is M: (M z)(1/tau) plus a load per slice
+        if factors is None:  # step is M: (M z)(1/tau) plus the chunk's loads
             rhs *= 1.0 / ops.tau
-            for i in range(k):
-                l_i = float(ops.lgrid.nodes[m + i])
-                rhs[:, i] += load.assemble_values(spec.f(t, l_i, load.x, load.y))[ops.free]
+            values = spec.f(t, ops.lgrid.nodes[m : m + k, None], load.x, load.y)
+            rhs += ops.point_loads @ _family_rows(values, k, load.x.size, "f", n, m).T
         try:
             out[c : c + k] = ops.solve_system(rhs.T)
         except SolveFailure as exc:

@@ -241,6 +241,22 @@ def test_scaling_with_a_non_dividing_iota_exits_with_a_configuration_error(capsy
     assert "iota=0.3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "steps, named",
+    [
+        (["--h", "0.5", "--tau", "5e-324", "--iota", "0.25"], "tau=5e-324"),
+        (["--h", "0.5", "--tau", "0.25", "--iota", "5e-324"], "iota=5e-324"),
+        (["--h", "1e-300", "--tau", "0.25", "--iota", "0.25"], "h=1e-300"),
+    ],
+    ids=["tau", "iota", "h"],
+)
+def test_a_step_above_the_count_cap_exits_with_a_configuration_error_naming_it(capsys, steps, named):
+    assert cli_main(["--study", "single", *steps]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"pbemoc: configuration error: {named} makes ")
+    assert "at most 2147483648 are allowed" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("flag", ["--steps", "--block"])
 def test_a_count_below_one_is_a_usage_error_naming_the_flag(capsys, flag):
     args = ["--study", "scaling", "--mode", "weak", "--h", "0.5", "--steps", "1", flag, "0"]

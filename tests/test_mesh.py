@@ -3,9 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from pbemoc import mesh as mesh_module
 from pbemoc.mesh import (
+    MAX_COUNT,
     Rectangle,
     UNIT_SQUARE,
+    _step_count,
     build_structured_mesh,
     quadrature_rule,
     reference_basis,
@@ -137,6 +140,25 @@ def test_h_within_rounding_of_a_divisor_is_accepted():
 def test_a_side_that_is_not_finite_is_rejected_naming_it():
     with pytest.raises(ValueError, match="^the x-side of length inf must be finite and positive$"):
         build_structured_mesh(Rectangle(0.0, np.inf, 0.0, 1.0), 0.5, 1)
+
+
+def test_a_step_count_above_the_cap_is_rejected_naming_the_step():
+    # checked here, never through a run, so a missing cap cannot start 1e300 levels
+    with pytest.raises(ValueError, match=r"^tau=1e-300 makes 1e\+300 steps of the final time 1.0; at most 2147483648"):
+        _step_count(1.0, 1e-300, "tau", "the final time")
+    with pytest.raises(ValueError, match=r"^iota=5e-324 makes inf steps"):
+        _step_count(1.0, 5e-324, "iota", "the internal interval of length")
+    assert _step_count(1.0, 2.0**-31, "tau", "the final time") == MAX_COUNT == 2**31
+
+
+@pytest.mark.parametrize("order, nodes", [(1, 25), (2, 81)])
+def test_a_mesh_above_the_node_cap_is_rejected_before_it_is_built(monkeypatch, order, nodes):
+    # a lowered cap, so that a missing check builds a small mesh, not a huge one
+    monkeypatch.setattr(mesh_module, "MAX_COUNT", nodes)
+    assert build_structured_mesh(UNIT_SQUARE, 0.25, order).num_nodes == nodes
+    monkeypatch.setattr(mesh_module, "MAX_COUNT", nodes - 1)
+    with pytest.raises(ValueError, match=f"^h=0.25 gives an order-{order} mesh of {nodes} nodes; at most {nodes - 1}"):
+        build_structured_mesh(UNIT_SQUARE, 0.25, order)
 
 
 def test_degenerate_rectangle_rejected():

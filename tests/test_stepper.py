@@ -351,8 +351,62 @@ def test_initial_data_of_a_wrong_shape_names_the_contract():
     spec = make_spec(z_init_grad=lambda l, x, y: (np.outer(x, l), np.outer(y, l)))
     with pytest.raises(ValueError, match=r"must have shape \(k, q\) or \(q,\)") as err:
         run_sequential(spec, mesh, basis, lgrid, tgrid)
-    # the shape is that of a group of slices, so the error names no slice
+    # the shape is that of a group of slices, not a projection's failure
     assert not isinstance(err.value, BoundaryTraceError)
+
+
+def one_row_too_many(l, x):
+    """(k+1, q) values for l as a (k, 1) column and (q,) points x."""
+    return np.zeros((np.shape(l)[0] + 1, np.size(x)))
+
+
+# each callable that gets l as a (k, 1) column, and the slice (n, m) its
+# shape error names at M = N = 4: the first of the one group or chunk
+WRONG_SHAPES = {
+    "z_init": (dict(z_init=lambda l, x, y: one_row_too_many(l, x)), (0, 1)),
+    "z_init_grad": (dict(z_init_grad=lambda l, x, y: (one_row_too_many(l, x),) * 2), (0, 1)),
+    "f": (dict(f=lambda t, l, x, y: one_row_too_many(l, x)), (1, 1)),
+    "exact": (dict(exact=lambda t, l, x, y: one_row_too_many(l, x)), (4, 1)),
+    "exact_grad": (dict(exact_grad=lambda t, l, x, y: (one_row_too_many(l, x),) * 2), (4, 1)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, workers", [(name, None) for name in WRONG_SHAPES] + [("f", 2)],
+    ids=[*WRONG_SHAPES, "f-pipeline"],
+)
+def test_a_wrong_shape_names_the_callable_and_its_slice(mms, name, workers):
+    from pbemoc.harness import run_single
+
+    override, (n, m) = WRONG_SHAPES[name]
+    problem = dataclasses.replace(mms, **override)
+    if workers is None:
+        with pytest.raises(ValueError) as err:
+            run_single(problem, 0.25, 0.25, 0.25)
+        failure = err.value
+    else:
+        # partition(4, 2): worker 0 owns slices 0..2 and fails first in line
+        with pytest.raises(PipelineError) as err:
+            run_single(problem, 0.25, 0.25, 0.25, workers=workers)
+        assert (err.value.worker, err.value.step) == (0, n)
+        failure = err.value.cause
+    assert type(failure) is ValueError
+    assert str(failure).startswith(f"{name} evaluated for the slices from (n, m) = ({n}, {m}) "), str(failure)
+
+
+def test_a_plain_source_is_called_once_per_chunk_with_an_l_column():
+    # M = 40 slices make a full chunk and one of 8 at every level
+    mesh, basis, lgrid, _ = small_setup(M=40)
+    tgrid = TimeGrid(0.1, 4)
+    shapes = []
+
+    def f(t, l, x, y):
+        shapes.append(np.shape(l))
+        return zeros(x, y)
+
+    run_sequential(make_spec(f=f), mesh, basis, lgrid, tgrid)
+    assert len(shapes) == tgrid.N * -(-lgrid.M // PANEL)
+    assert shapes == [(PANEL, 1), (lgrid.M - PANEL, 1)] * tgrid.N
 
 
 @pytest.mark.parametrize("bad", [1.0, np.nan], ids=["nonzero", "nan"])
@@ -812,10 +866,10 @@ def test_iterative_block_solve_matches_row_solves(mms):
 
 @pytest.mark.parametrize("workers", [None, 2])
 def test_non_finite_source_raises_with_step_and_slice(mms, workers):
-    # a NaN source at (n, m) = (2, 3) poisons exactly that slice of level 2
+    # a NaN source at (n, m) = (2, 3) poisons exactly that slice of level 2;
+    # f gets l as a (k, 1) column, so the NaN goes in the row where l == 0.75
     def f(t, l, x, y):
-        values = mms.f(t, l, x, y)
-        return np.full_like(values, np.nan) if (t, l) == (0.5, 0.75) else values
+        return np.where((t == 0.5) & (l == 0.75), np.nan, mms.f(t, l, x, y))
 
     spec = make_spec(
         G=mms.G, f=f, z_init=mms.z_init, z_init_grad=mms.z_init_grad,
