@@ -10,7 +10,11 @@ G(l) = 1/2 + 2(1-l)l on [0, 1], and T = 1.  The source term and the initial,
 inflow and exact fields are written out in closed form from that solution,
 so measured errors are pure discretization errors.  The source is a
 SeparableSource of two spatial fields, so the time steps assemble its loads
-once per run.  Convergence studies sweep the mesh size with a coupling rule
+once per run.  The closed forms take sin(pi v) and cos(pi v) of a point
+array v from a module-level memo of at most TRIG_MEMO_SIZE point arrays,
+matched on the size and the int64 bits of v, never on its identity, so
+points that every slice group and time level share pay for their sines once.
+Convergence studies sweep the mesh size with a coupling rule
 for the two step sizes; scaling studies sweep the worker count.  A step size
 must divide the length it steps over, to the relative 1e-9 the mesh size
 also has (mesh._step_count), or the study raises ValueError.
@@ -87,14 +91,44 @@ def _decay(t):
     return np.exp(-DECAY_RATE * t)
 
 
+# sin(pi v) and cos(pi v) of the last TRIG_MEMO_SIZE point arrays v the
+# closed forms met, newest first, as (bits of v, sin, cos), all flat
+TRIG_MEMO_SIZE = 8
+_trig_memo: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+
+def _sin_cos(v):
+    """sin(pi v) and cos(pi v) in the shape of v, as read-only arrays.
+
+    An entry of the memo serves v if it has v's size and the bits of v's
+    int64 view, whatever v's shape: points changed in place miss, -0.0 and
+    0.0 are told apart, and NaN points hit.  A miss evaluates the flat points
+    and stores a copy of their bits, dropping the oldest entry beyond
+    TRIG_MEMO_SIZE; the memo is never updated on a hit.  An entry is one
+    tuple and the list's insert and del are atomic, so callers in threads
+    can at worst both miss and evaluate the same points.
+    """
+    v = np.asarray(v, dtype=float)
+    bits = np.ascontiguousarray(v).reshape(-1).view(np.int64)
+    for key, s, c in _trig_memo:
+        if key.size == bits.size and np.array_equal(key, bits):
+            break
+    else:
+        key = bits.copy()
+        s, c = np.sin(np.pi * key.view(float)), np.cos(np.pi * key.view(float))
+        s.flags.writeable = c.flags.writeable = False
+        _trig_memo.insert(0, (key, s, c))
+        del _trig_memo[TRIG_MEMO_SIZE:]
+    return s.reshape(v.shape), c.reshape(v.shape)
+
+
 def _source_sines(x, y):
-    return np.sin(np.pi * np.asarray(x, dtype=float)) * np.sin(np.pi * np.asarray(y, dtype=float))
+    (sx, _), (sy, _) = _sin_cos(x), _sin_cos(y)
+    return sx * sy
 
 
 def _source_mixed(x, y):
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    sx, cx = np.sin(np.pi * x), np.cos(np.pi * x)
-    sy, cy = np.sin(np.pi * y), np.cos(np.pi * y)
+    (sx, cx), (sy, cy) = _sin_cos(x), _sin_cos(y)
     return cx * sy + sx * cy
 
 
@@ -112,12 +146,14 @@ def _growth(l):
 
 
 def _solution(t, l, x, y):
-    return np.exp(-DECAY_RATE * t) * np.sin(np.pi * l) * np.sin(np.pi * x) * np.sin(np.pi * y)
+    (sx, _), (sy, _) = _sin_cos(x), _sin_cos(y)
+    return np.exp(-DECAY_RATE * t) * np.sin(np.pi * l) * sx * sy
 
 
 def _solution_grad(t, l, x, y):
+    (sx, cx), (sy, cy) = _sin_cos(x), _sin_cos(y)
     c = np.pi * np.exp(-DECAY_RATE * t) * np.sin(np.pi * l)
-    return c * np.sin(np.pi * y) * np.cos(np.pi * x), c * np.sin(np.pi * x) * np.cos(np.pi * y)
+    return c * sy * cx, c * sx * cy
 
 
 def _zero_inflow(t, x, y):
@@ -137,6 +173,11 @@ def mms_problem() -> MMSProblem:
     derivation of the problem; the operand order of each product follows
     that derivation's printed form, so the fields match it bitwise.  The
     source, a SeparableSource of two spatial fields, matches it to rounding.
+    The fields take sin(pi x), cos(pi x), sin(pi y) and cos(pi y) from the
+    module's memo (_sin_cos), which holds at most TRIG_MEMO_SIZE = 8 point
+    arrays keyed on their size and int64 bits, so a level-0 group, an error
+    pass or a bench error loop on the run's quadrature points evaluates no
+    sine again; the bytes are those of a fresh evaluation.
     """
     return MMSProblem(
         epsilon=1.0,

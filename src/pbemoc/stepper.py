@@ -36,8 +36,8 @@ by 1/tau: one sparse product of it with the chunk's blends and coefficients
 c(t) a_j(l_m) gives the right-hand sides, the mass terms first and the loads
 after them in field order.  Any other source has the mass product scaled by
 1/tau, and is evaluated at the quadrature points once per chunk, with l as
-a (k, 1) column, and assembled once per chunk by one sparse product on the
-free rows.  The mass terms of the boundary columns, which the full product
+a (k, 1) column, and assembled by one sparse product per slice on the free
+rows.  The mass terms of the boundary columns, which the full product
 would add, are products with exact zeros and do not change a sum.
 
 Rounding: for tau = 2^-k, scaling the mass entries by 1/tau is exact, so a
@@ -404,7 +404,7 @@ def advance_block(
     which are solved straight into out.  Any other source has its mass
     product scaled by 1/tau, and is evaluated once per chunk, with l as a
     (k, 1) column, and assembled on the free rows with one sparse product
-    per chunk.  Each column's arithmetic does not depend on the chunk, and
+    per slice.  Each column's arithmetic does not depend on the chunk, and
     the solver works on panels of a fixed width, so every row gets the same
     bytes in any block.
     Raises SolveFailure at the first slice with a non-finite value, and at
@@ -438,7 +438,10 @@ def advance_block(
         if factors is None:  # step is M: (M z)(1/tau) plus the chunk's loads
             rhs *= 1.0 / ops.tau
             values = spec.f(t, ops.lgrid.nodes[m : m + k, None], load.x, load.y)
-            rhs += ops.point_loads @ _family_rows(values, k, load.x.size, "f", n, m).T
+            # one product per row: a product with the transposed (k, q) block
+            # would first copy the block to C order
+            for i, row in enumerate(_family_rows(values, k, load.x.size, "f", n, m)):
+                rhs[:, i] += ops.point_loads @ row
         try:
             out[c : c + k] = ops.solve_system(rhs.T)
         except SolveFailure as exc:

@@ -1,9 +1,14 @@
 """The package names and attributes `bench/child.py` reads, exercised on a
-small problem, so a refactor cannot silently break the traced benchmark."""
+small problem, so a refactor cannot silently break the traced benchmark, and
+the bench's error pass checked against the library's on the bench problems."""
 
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pbemoc import (
     ErrorEvaluator,
@@ -25,6 +30,17 @@ from pbemoc import (
     step_slice,
 )
 from pbemoc.fem import make_solver
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_workloads() -> dict:
+    """The workloads of bench/workloads.py, which imports only the standard library."""
+    if "bench_workloads" not in sys.modules:  # its dataclasses look their module up
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    return sys.modules["bench_workloads"].WORKLOADS
 
 
 class Counter:
@@ -110,3 +126,24 @@ def test_traced_loop_and_kernel_chain_of_the_bench():
     l2, h1 = evaluator.norms(run.surface.slices[M].values, exact, exact_grad)
     assert 0.0 < l2 < h1 < 1.0
     assert mesh.num_nodes == 81
+
+
+@pytest.mark.parametrize("name", ["seq-p2-many-slices", "seq-p1-wide-mesh"])
+def test_library_and_bench_error_passes_agree_bitwise(name):
+    # run_single's worst_norms against the per-slice loop of bench/child.py,
+    # which freezes (T, l_m) with exact_at and measures one slice at a time
+    w = bench_workloads()[name]
+    problem = mms_problem()
+    mesh = build_structured_mesh(problem.domain, w.h, w.order)
+    basis = reference_basis(w.order)
+    lgrid, tgrid = problem.lgrid(w.M), TimeGrid(w.T, w.N)
+    surface = run_sequential(problem, mesh, basis, lgrid, tgrid)
+    evaluator = ErrorEvaluator(mesh, basis)
+    library = evaluator.worst_norms(
+        surface.as_matrix()[1:], problem.exact, problem.exact_grad, w.T, lgrid.nodes[1:], w.N, 1
+    )
+    worst_l2 = worst_h1 = 0.0
+    for m in range(1, lgrid.M + 1):
+        l2, h1 = evaluator.norms(surface.slices[m].values, *problem.exact_at(w.T, float(lgrid.nodes[m])))
+        worst_l2, worst_h1 = max(worst_l2, l2), max(worst_h1, h1)
+    assert library == (worst_l2, worst_h1)  # positive and finite, so equal as bits

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 import pbemoc
+from pbemoc import harness
 from pbemoc.characteristics import CflViolationError
 from pbemoc.harness import (
     COUPLINGS,
@@ -133,6 +134,113 @@ def test_exact_gradient_consistent_with_exact(mms):
         fd_y = (mms.exact(t, l, xa, ya + d) - mms.exact(t, l, xa, ya - d)) / (2 * d)
         assert gx[0] == pytest.approx(fd_x[0], abs=1e-7)
         assert gy[0] == pytest.approx(fd_y[0], abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the memo of sin(pi v) and cos(pi v)
+
+# the closed forms with a symbolic twin of the same bytes, and their arguments
+MEMO_FIELDS = {"exact": "tlxy", "exact_grad": "tlxy", "z_init": "lxy", "z_init_grad": "lxy"}
+
+
+@pytest.fixture
+def empty_memo():
+    harness._trig_memo.clear()
+    yield harness._trig_memo
+    harness._trig_memo.clear()
+
+
+def field_bytes(value):
+    """Shapes and bytes of a field value or of a gradient pair."""
+    parts = value if isinstance(value, tuple) else (value,)
+    return [(np.shape(v), np.asarray(v).tobytes()) for v in parts]
+
+
+def oracle(symbolic, name, env):
+    """The symbolic field on env, row by row where l is a (k, 1) column."""
+    args = MEMO_FIELDS[name]
+    if np.ndim(env["l"]) < 2:
+        return symbolic[name](*(env[a] for a in args))
+    rows = [symbolic[name](*(dict(env, l=li)[a] for a in args)) for li in env["l"][:, 0]]
+    return tuple(map(np.stack, zip(*rows))) if name.endswith("_grad") else np.stack(rows)
+
+
+def assert_fresh(mms, symbolic, t, l, x, y):
+    """Each closed form on (t, l, x, y) gives the bytes of the symbolic
+    oracle, and the source those of an evaluation with an empty memo."""
+    env = dict(t=t, l=l, x=x, y=y)
+    for name, args in MEMO_FIELDS.items():
+        got = getattr(mms, name)(*(env[a] for a in args))
+        assert field_bytes(got) == field_bytes(oracle(symbolic, name, env)), name
+    source = field_bytes(mms.f(t, l, x, y))
+    kept = harness._trig_memo[:]
+    harness._trig_memo.clear()
+    try:
+        assert source == field_bytes(mms.f(t, l, x, y)), "f"
+    finally:
+        harness._trig_memo[:] = kept
+
+
+def memo_points(seed, n=400):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+
+
+def test_memo_sees_points_changed_in_place(mms, symbolic, empty_memo):
+    x, y = memo_points(3)
+    assert_fresh(mms, symbolic, 0.4, 0.3, x, y)
+    x[::3] = np.random.default_rng(4).uniform(0, 1, x[::3].size)
+    y[7] = 0.5
+    assert_fresh(mms, symbolic, 0.4, 0.3, x, y)
+
+
+def test_memo_tells_signed_zeros_apart_and_serves_nan_points(mms, symbolic, empty_memo):
+    x, y = memo_points(5)
+    x[:40] = 0.0
+    assert_fresh(mms, symbolic, 0.4, 0.3, x, y)
+    negative = x.copy()
+    negative[:40] = -0.0  # equal to x as floats, not as bits
+    assert field_bytes(mms.exact(0.4, 0.3, negative, y)) != field_bytes(mms.exact(0.4, 0.3, x, y))
+    assert_fresh(mms, symbolic, 0.4, 0.3, negative, y)
+    x[40:60] = np.nan
+    assert_fresh(mms, symbolic, 0.4, 0.3, x, y)
+    entries = len(empty_memo)
+    assert_fresh(mms, symbolic, 0.4, 0.3, x, y)  # NaN points hit their entry
+    assert len(empty_memo) == entries
+
+
+def test_memo_serves_flat_and_element_shaped_points_from_one_entry(mms, symbolic, empty_memo):
+    x, y = memo_points(6)
+    assert_fresh(mms, symbolic, 0.4, 0.3, x, y)
+    entries = len(empty_memo)
+    assert_fresh(mms, symbolic, 0.4, 0.3, x.reshape(20, 20), y.reshape(20, 20))
+    assert len(empty_memo) == entries
+
+
+@pytest.mark.parametrize("l", [0.0, 0.3, np.linspace(0.0, 1.0, 7)[:, None]], ids=["0", "0.3", "column"])
+def test_memo_serves_a_scalar_l_and_an_l_column(mms, symbolic, empty_memo, l):
+    x, y = memo_points(7)
+    for t in (0.0, 0.4):
+        assert_fresh(mms, symbolic, t, l, x, y)
+
+
+def test_memo_holds_a_bounded_number_of_point_sets(mms, symbolic, empty_memo):
+    sets = [memo_points(100 + i, n=50) for i in range(harness.TRIG_MEMO_SIZE + 3)]
+    for _ in range(2):  # the second pass meets evicted point sets again
+        for x, y in sets:
+            assert_fresh(mms, symbolic, 0.4, 0.3, x, y)
+            assert len(empty_memo) <= harness.TRIG_MEMO_SIZE
+
+
+def test_a_caller_cannot_write_into_the_memo(mms, symbolic, empty_memo):
+    x, y = memo_points(8)
+    for points in (x, x.reshape(20, 20)):
+        for cached in harness._sin_cos(points):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[(0,) * cached.ndim] = 2.0
+    value = mms.exact(0.4, 0.3, x, y)
+    value[:] = 2.0  # a field's value belongs to its caller
+    assert_fresh(mms, symbolic, 0.4, 0.3, x, y)
 
 
 # ---------------------------------------------------------------------------

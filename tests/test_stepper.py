@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,6 +408,26 @@ def test_a_plain_source_is_called_once_per_chunk_with_an_l_column():
     run_sequential(make_spec(f=f), mesh, basis, lgrid, tgrid)
     assert len(shapes) == tgrid.N * -(-lgrid.M // PANEL)
     assert shapes == [(PANEL, 1), (lgrid.M - PANEL, 1)] * tgrid.N
+
+
+def test_a_plain_source_chunk_peaks_well_under_twice_its_block():
+    # the source makes one (k, q) block of values, with numpy's fixed-size
+    # broadcast buffers beside it; the loads are added one row at a time, so
+    # advance_block makes no second block-sized array
+    mesh, basis, lgrid, tgrid = small_setup(h=0.0625, M=PANEL, N=PANEL)
+    ops = precompute_operators(mesh, basis, make_spec(f=lambda t, l, x, y: l * x), tgrid.tau, lgrid)
+    prev = np.ones((PANEL, ops.free.size))
+    out = np.empty_like(prev)
+    block = prev.shape[0] * ops.load.x.size * prev.itemsize
+    assert block > 10 * prev.nbytes  # the block dominates the kernel's other arrays
+    advance_block(ops, 1, prev[0], prev, 1, out)
+    tracemalloc.start()
+    try:
+        advance_block(ops, 1, prev[0], prev, 1, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block <= peak < 1.5 * block
 
 
 @pytest.mark.parametrize("bad", [1.0, np.nan], ids=["nonzero", "nan"])
