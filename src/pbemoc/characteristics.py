@@ -11,6 +11,7 @@ only reports the paper's bound tau <= iota / max G over the whole interval.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -49,10 +50,14 @@ class LGrid:
     M: int
 
     def __post_init__(self):
+        if not isinstance(self.M, numbers.Integral):
+            raise TypeError(f"cell count M must be an integer, got {self.M!r}")
         if self.M < 1:
-            raise ValueError(f"cell count must be >= 1, got {self.M}")
+            raise ValueError(f"cell count M must be >= 1, got {self.M}")
         if not self.l_max > self.l_min:
             raise ValueError(f"empty internal interval [{self.l_min}, {self.l_max}]")
+        if not (np.isfinite(self.l_min) and np.isfinite(self.l_max)):
+            raise ValueError(f"internal interval [l_min, l_max] = [{self.l_min}, {self.l_max}] must be finite")
 
     @property
     def iota(self) -> float:
@@ -73,10 +78,12 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError(f"final time must be positive, got {self.T}")
+        if not 0.0 < self.T < np.inf:  # NaN fails this test, not the reverse one
+            raise ValueError(f"final time T must be finite and positive, got {self.T}")
+        if not isinstance(self.N, numbers.Integral):
+            raise TypeError(f"step count N must be an integer, got {self.N!r}")
         if self.N < 1:
-            raise ValueError(f"step count must be >= 1, got {self.N}")
+            raise ValueError(f"step count N must be >= 1, got {self.N}")
 
     @property
     def tau(self) -> float:

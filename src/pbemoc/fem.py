@@ -7,10 +7,9 @@ the generic data terms (degree 2k+2 for loads, projections, and norms).  A
 run's operators come from one quadrature per degree, built for that run and
 dropped after it (_run_operators): one LoadAssembler holds both the value
 and the gradient loads, and the projector factors the free (non-boundary)
-block of the unit stiffness and returns free-DOF rows.  A projector can
-project a family of data g(p, x, y) for many parameters p with one
-evaluation per group of them, and still gives each member the bytes of its
-own projection.
+block of the unit stiffness and returns free-DOF rows.  Level 0's data and
+the error pass's exact fields are evaluated once per group of slices, one
+rule sizing both (_group_size); stepper._project projects each slice alone.
 Matrices are CSR; the direct solver is a sparse LU factorization, which makes
 every solve deterministic and byte-reproducible.  Its block solve hands the
 factorization exactly PANEL right-hand sides per call, so a row gets the same
@@ -212,8 +211,8 @@ def assemble_mass(mesh: SpatialMesh, basis: BasisSet) -> sp.csr_matrix:
 
 def assemble_stiffness(mesh: SpatialMesh, basis: BasisSet, epsilon: float = 1.0) -> sp.csr_matrix:
     """Diffusion matrix with entries epsilon * integral of grad phi_i . grad phi_j."""
-    if epsilon <= 0.0:
-        raise ValueError(f"diffusion coefficient must be positive, got {epsilon}")
+    if not 0.0 < epsilon < np.inf:  # NaN fails this test, not the reverse one
+        raise ValueError(f"diffusion coefficient epsilon must be finite and positive, got {epsilon}")
     return _scatter(mesh, epsilon * _stiffness_local(_form_quad(mesh, basis)))
 
 
@@ -438,23 +437,26 @@ class RitzProjector:
             self._last_key, self._last_solution = key, self._solver.solve(rhs)
         return self._last_solution.copy()
 
-    def _project_family(self, g: Callable, g_grad: Callable, params: np.ndarray, m0: int):
-        """Yield project(g(params[i], x, y), g_grad(params[i], x, y)) for each i in turn.
+    def _family_data(self, g: Callable, g_grad: Callable, params: np.ndarray, m0: int):
+        """Yield, for each i in turn, the (g, g_grad) pair that project takes for
+        the initial data z_init(params[i], x, y) and z_init_grad of slice (0, m0 + i).
 
-        g and g_grad are the initial data z_init and z_init_grad of the slices
-        (0, m0 + i), called once per group of about one solver panel of values,
-        with the group as a (k, 1) column (_family_rows).  Each member then
-        goes through project, so it gets the bytes project gives it.
-        """
+        Each is called once per group of _group_size slices, with the group as
+        a (k, 1) column (_family_rows), at the points project evaluates it at."""
         loads = self._loads
         nq = loads.x.size
-        group = max(1, PANEL * self._interior.size // nq)  # sized by the DOF count
+        group = _group_size(self._interior.size, nq)
         for s in range(0, len(params), group):
             p = np.asarray(params[s : s + group], dtype=float)[:, None]
             trace = _family_rows(g(p, self._bx, self._by), p.size, self._bx.size, "z_init", 0, m0 + s)
             gx, gy = (_family_rows(c, p.size, nq, "z_init_grad", 0, m0 + s) for c in g_grad(p, loads.x, loads.y))
             for i in range(p.size):
-                yield self.project(lambda x, y, i=i: trace[i], lambda x, y, i=i: (gx[i], gy[i]))
+                yield (lambda x, y, i=i: trace[i]), (lambda x, y, i=i: (gx[i], gy[i]))
+
+
+def _group_size(num_dofs: int, num_points: int) -> int:
+    """Slices per evaluation of l-dependent data on num_points points: about PANEL * num_dofs values."""
+    return max(1, PANEL * num_dofs // num_points)
 
 
 def _family_rows(values, k: int, q: int, name: str, n: int, m: int) -> np.ndarray:
@@ -500,7 +502,7 @@ class ErrorEvaluator:
 
     def __init__(self, mesh: SpatialMesh, basis: BasisSet):
         self._qd = _data_quad(mesh, basis)
-        self._group = max(1, PANEL * mesh.num_nodes // self._qd.x.size)  # the group size of level 0
+        self._group = _group_size(mesh.num_nodes, self._qd.x.size)  # that of level 0
 
     def norms(self, values: np.ndarray, exact: Callable, exact_grad: Callable) -> tuple[float, float]:
         qd = self._qd

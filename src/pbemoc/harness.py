@@ -254,7 +254,7 @@ def run_single(
             snapshot_steps=snapshot_steps, snapshot_dir=snapshot_dir,
         )
     return ErrorEvaluator(mesh, basis).worst_norms(
-        surface.as_matrix()[1:], problem.exact, problem.exact_grad, T, lgrid.nodes[1:], tgrid.N, 1
+        [s.values for s in surface.slices[1:]], problem.exact, problem.exact_grad, T, lgrid.nodes[1:], tgrid.N, 1
     )
 
 

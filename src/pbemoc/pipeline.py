@@ -59,9 +59,9 @@ from .stepper import (
     Operators,
     ProblemSpec,
     SolutionSurface,
-    _advance_level,
     _initial_level,
     _level_surface,
+    advance_block,
 )
 
 __all__ = [
@@ -429,7 +429,7 @@ def run_pipeline(
         tgrid.N,
         mesh.num_nodes,
         partial(_initial_level, ops),
-        partial(_advance_level, ops),
+        partial(advance_block, ops),
         columns=ops.free,
     )
     return engine.execute()

@@ -10,7 +10,8 @@ and factorized once, and the weights of all nodes are one table
 (characteristics.foot_weights).
 
 Initial slices and the slices at the inflow end of the internal interval are
-gradient projections of the prescribed data.  Level 0 evaluates the initial
+gradient projections of the prescribed data, each made by _project, which
+names the slice (n, m) of a failing projection.  Level 0 evaluates the initial
 data for a group of slices per call and projects each slice alone, so it has
 the bytes of slice-by-slice projections.
 
@@ -23,22 +24,21 @@ Arrays leave a run full width, with exact zeros at the boundary DOFs: the
 returned surface, the snapshots and the per-slice API (initialize,
 boundary_slice, step_slice, and Operators.solve_system given all-DOF rows).
 
-One kernel, advance_block, advances a contiguous block of slices of a level.
-The sequential loop calls it once per level on slices 1..M, each pipeline
-worker once per level on its own block, and step_slice on a block of one
-slice.  Within a block, slices are processed in chunks of one solver panel
-(fem.PANEL slices), one column per slice, in chunk buffers that Operators
-allocates once per run.  A SeparableSource, c(t) sum_j a_j(l) s_j(x, y), has
-its field loads L_j = integral of s_j phi_i assembled and its factors
-a_j(l_m) tabulated once per run, and the loads form one CSR step operator
-[M/tau | L_1 ... L_J], on free rows and columns, with the mass matrix scaled
-by 1/tau: one sparse product of it with the chunk's blends and coefficients
-c(t) a_j(l_m) gives the right-hand sides, the mass terms first and the loads
-after them in field order.  Any other source has the mass product scaled by
-1/tau, and is evaluated at the quadrature points once per chunk, with l as
-a (k, 1) column, and assembled by one sparse product per slice on the free
-rows.  The mass terms of the boundary columns, which the full product
-would add, are products with exact zeros and do not change a sum.
+One kernel, advance_block, is the one entry of a level: the sequential loop
+calls it once per level on slices 0..M, each pipeline worker once per level
+on its own block, and step_slice on a block of one slice; a block from m = 0
+projects its inflow row first.  Within a block, slices are processed in
+chunks of one solver panel (fem.PANEL slices), one column per slice, in
+chunk buffers that Operators allocates once per run.  A SeparableSource,
+c(t) sum_j a_j(l) s_j(x, y), has its field loads L_j = integral of s_j phi_i
+and its factors a_j(l_m) formed once per run, the loads into one CSR step
+operator [M/tau | L_1 ... L_J] on free rows and columns (_step_operator),
+whose product with a chunk's blends and coefficients c(t) a_j(l_m) gives its
+right-hand sides.  Any other source has the mass product scaled by 1/tau,
+and is evaluated at the quadrature points once per chunk, with l as a (k, 1)
+column, and assembled by one sparse product per slice on the free rows.  The
+mass terms of the boundary columns, which the full product would add, are
+products with exact zeros and do not change a sum.
 
 Rounding: for tau = 2^-k, scaling the mass entries by 1/tau is exact, so a
 separable source's right-hand side is bit for bit (M z)(1/tau) plus the
@@ -69,7 +69,6 @@ from .fem import (
     PANEL,
     BoundaryTraceError,
     FieldSlice,
-    RitzProjector,
     SolveFailure,
     SolverConfig,
     _family_rows,
@@ -152,8 +151,10 @@ class ProblemSpec:
     z_bdry_grad: Callable
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError(f"diffusion coefficient must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < np.inf:  # NaN fails these tests, not the reverse ones
+            raise ValueError(f"diffusion coefficient epsilon must be finite and positive, got {self.epsilon}")
+        if np.shape(self.b) != (2,) or not np.isfinite(self.b).all():
+            raise ValueError(f"velocity b must be a finite 2-vector, got {self.b}")
 
 
 @dataclass(eq=False)
@@ -196,8 +197,8 @@ class Operators:
         solver_config: SolverConfig | None = None,
     ):
         _check_compatibility(spec, mesh, lgrid)
-        if tau <= 0.0:
-            raise ValueError(f"step size must be positive, got {tau}")
+        if not 0.0 < tau < np.inf:  # NaN fails this test, not the reverse one
+            raise ValueError(f"step size tau must be finite and positive, got {tau}")
         # the stability gate, before any assembly; the weights are time-independent like G
         self.alphas = foot_weights(tau, lgrid, spec.G)
         self.beta = 1.0 - self.alphas  # weight of the same-index slice
@@ -318,34 +319,34 @@ def _failure_at(exc: SolveFailure | BoundaryTraceError, solve: str, n: int, m: i
     return SolveFailure(f"{solve} at step n={n} failed: {exc}", exc.residual, n=n, m=m)
 
 
-def _project_inflow(projector: RitzProjector, spec: ProblemSpec, n: int, t: float) -> np.ndarray:
-    """The free-DOF row of the inflow slice (n, 0): the projection of the inflow data at time t."""
+def _project(ops: Operators, g: Callable, g_grad: Callable, n: int, m: int) -> np.ndarray:
+    """The free-DOF row of slice (n, m), ops.projector.project(g, g_grad), looked up
+    at each call; SolveFailure or BoundaryTraceError at (n, m) if it fails."""
     try:
-        return projector.project(lambda x, y: spec.z_bdry(t, x, y), lambda x, y: spec.z_bdry_grad(t, x, y))
+        return ops.projector.project(g, g_grad)
     except (SolveFailure, BoundaryTraceError) as exc:
-        raise _failure_at(exc, "projection of slice m=0", n, 0) from exc
+        raise _failure_at(exc, f"projection of slice m={m}", n, m) from exc
+
+
+def _inflow_row(ops: Operators, n: int, t: float) -> np.ndarray:
+    """The free-DOF row of the inflow slice (n, 0): the projection of the inflow data at time t."""
+    spec = ops.spec
+    return _project(ops, lambda x, y: spec.z_bdry(t, x, y), lambda x, y: spec.z_bdry_grad(t, x, y), n, 0)
 
 
 def _initial_level(ops: Operators, block: range) -> np.ndarray:
-    """The free-DOF level-0 rows of the slices in block: the inflow data at
-    m=0, the initial data elsewhere, evaluated for a group of slices per call
-    (RitzProjector._project_family) and projected slice by slice.
-
-    The inflow slice is projected last, so a time-independent inflow has the
-    projector's last right-hand side at every later level and is not solved
-    again.  A failing projection raises SolveFailure at (0, m), and data that
-    do not vanish on the boundary raise BoundaryTraceError there."""
-    spec, projector = ops.spec, ops.projector
+    """The free-DOF level-0 rows of the slices in block: the initial data,
+    evaluated for a group of slices per call (RitzProjector._family_data), and
+    last the inflow data at m=0, so that a time-independent inflow has the
+    projector's last right-hand side at every later level and is not solved again."""
+    spec = ops.spec
     rows = np.empty((len(block), ops.free.size))
     first = max(block.start, 1)
-    members = projector._project_family(spec.z_init, spec.z_init_grad, ops.lgrid.nodes[first : block.stop], first)
-    try:
-        for m in range(first, block.stop):
-            rows[m - block.start] = next(members)
-    except (SolveFailure, BoundaryTraceError) as exc:
-        raise _failure_at(exc, f"projection of slice m={m}", 0, m) from exc
+    data = ops.projector._family_data(spec.z_init, spec.z_init_grad, ops.lgrid.nodes[first : block.stop], first)
+    for m, (g, g_grad) in zip(range(first, block.stop), data):
+        rows[m - block.start] = _project(ops, g, g_grad, 0, m)
     if block.start == 0:
-        rows[0] = _project_inflow(projector, spec, 0, 0.0)
+        rows[0] = _inflow_row(ops, 0, 0.0)
     return rows
 
 
@@ -381,14 +382,13 @@ def boundary_slice(
     The inflow is taken at t = n*tau, the time at which the other slices of
     level n evaluate the source.
     """
-    row = _project_inflow(operators.projector, spec, n, n * tgrid.tau)
-    return FieldSlice(operators.full_width(row), n=n, m=0)
+    return FieldSlice(operators.full_width(_inflow_row(operators, n, n * tgrid.tau)), n=n, m=0)
 
 
 def advance_block(
     ops: Operators,
     n: int,
-    left_row: np.ndarray,
+    left_row: np.ndarray | None,
     prev: np.ndarray,
     m0: int,
     out: np.ndarray,
@@ -396,20 +396,26 @@ def advance_block(
     """Fill out[i] with slice (n, m0+i) for every row i of prev.
 
     prev holds the free-DOF values of the level-(n-1) slices m0..m0+k-1 as a
-    (k, num_free) array and left_row those of the level-(n-1) slice m0-1; out
-    has the shape of prev.  Rows are processed in chunks of fem.PANEL rows,
-    one column per slice: the blend is written into the chunk buffer, a
-    separable source's coefficients c(t) a_j(l_m) below it, and one product
-    with the step operator [M/tau | L_1 ... L_J] gives the right-hand sides,
-    which are solved straight into out.  Any other source has its mass
-    product scaled by 1/tau, and is evaluated once per chunk, with l as a
-    (k, 1) column, and assembled on the free rows with one sparse product
-    per slice.  Each column's arithmetic does not depend on the chunk, and
-    the solver works on panels of a fixed width, so every row gets the same
-    bytes in any block.
+    (k, num_free) array and left_row those of the level-(n-1) slice m0-1;
+    out has the shape of prev.  A block from m0 = 0 gets the inflow data at
+    t = n*tau projected into out[0], checked finite, and steps its other
+    rows from prev[0], reading no left_row.  Rows are processed in chunks of
+    fem.PANEL rows, one column per slice: the blend is written into the
+    chunk buffer, a separable source's coefficients c(t) a_j(l_m) below it,
+    and one product with the step operator [M/tau | L_1 ... L_J] gives the
+    right-hand sides, which are solved straight into out.  Any other source
+    has its mass product scaled by 1/tau, and is evaluated once per chunk,
+    with l as a (k, 1) column, and assembled on the free rows with one
+    sparse product per slice.  Each column's arithmetic does not depend on
+    the chunk, and the solver works on panels of a fixed width, so every row
+    gets the same bytes in any block.
     Raises SolveFailure at the first slice with a non-finite value, and at
     the first slice of a chunk whose solve fails.
     """
+    if m0 == 0:
+        out[0] = _inflow_row(ops, n, n * ops.tau)
+        _check_finite(out[:1], n, 0)
+        left_row, prev, m0, out = prev[0], prev[1:], 1, out[1:]
     spec, load, alphas = ops.spec, ops.load, ops.alphas
     factors = ops.source_factors
     nfree = prev.shape[1]
@@ -456,23 +462,6 @@ def _check_finite(rows: np.ndarray, n: int, m0: int) -> None:
         return
     m = m0 + int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
     raise SolveFailure(f"non-finite values in slice m={m} at step n={n}", n=n, m=m)
-
-
-def _advance_level(
-    ops: Operators,
-    n: int,
-    left_row: np.ndarray | None,
-    prev: np.ndarray,
-    m0: int,
-    out: np.ndarray,
-) -> None:
-    """advance_block over rows m0.. of level n; a row at m=0 is the inflow slice."""
-    if m0 > 0:
-        advance_block(ops, n, left_row, prev, m0, out)
-        return
-    out[0] = _project_inflow(ops.projector, ops.spec, n, n * ops.tau)
-    _check_finite(out[:1], n, 0)
-    advance_block(ops, n, prev[0], prev[1:], 1, out[1:])
 
 
 def step_slice(
@@ -525,7 +514,7 @@ def run_sequential(
     spare = np.empty_like(level)
     for n in range(tgrid.N + 1):
         if n > 0:
-            _advance_level(ops, n, None, level, 0, spare)
+            advance_block(ops, n, None, level, 0, spare)
             level, spare = spare, level
         if n in snapshots:
             path = os.path.join(snapshot_dir, f"surface_n{n:05d}.txt")

@@ -453,6 +453,28 @@ def test_halving_the_internal_spacing_halves_the_transport_error(mms):
     assert 1.7 <= ratio <= 2.3
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_run_single_errors_are_the_per_slice_norms_bitwise(mms, monkeypatch, order):
+    # the worst-slice pass reads the slices' own rows, with no stacked copy of
+    # the surface, and gives the bytes of one norms call per slice
+    from pbemoc import ErrorEvaluator, TimeGrid, reference_basis, run_sequential
+    from pbemoc.stepper import SolutionSurface
+
+    h, step, T = 0.25, 0.125, 0.5
+    monkeypatch.setattr(SolutionSurface, "as_matrix", lambda self: pytest.fail("run_single stacked the surface"))
+    worst = run_single(mms, h, step, step, order=order, T=T)
+    monkeypatch.undo()
+    mesh, basis = build_structured_mesh(mms.domain, h, order), reference_basis(order)
+    lgrid, tgrid = mms.lgrid(8), TimeGrid(T, 4)
+    surface = run_sequential(mms, mesh, basis, lgrid, tgrid)
+    evaluator = ErrorEvaluator(mesh, basis)
+    norms = [
+        evaluator.norms(surface.slices[m].values, *mms.exact_at(T, float(lgrid.nodes[m])))
+        for m in range(1, lgrid.M + 1)
+    ]
+    assert worst == tuple(max(v) for v in zip(*norms))  # positive and finite, so equal as bits
+
+
 def test_scaling_study_strong_and_weak(mms):
     rows = strong_scaling_study((1, 2), h=0.25, iota=1.0 / 16, steps=4)
     assert [r.workers for r in rows] == [1, 2]

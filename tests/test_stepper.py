@@ -207,6 +207,47 @@ def test_operators_reject_incompatible_data_before_any_assembly(monkeypatch):
     assert assembled == []
 
 
+NAN, INF = float("nan"), float("inf")
+
+# inputs a run must reject where they enter: the name the error carries, and
+# a call that builds the input and hands it to go(spec=, lgrid=, tgrid=), a
+# run of the small problem, or to the function that takes it
+REJECTED_INPUTS = {
+    "epsilon=nan": ("epsilon", lambda go, mms, mesh: go(spec=dataclasses.replace(mms, epsilon=NAN))),
+    "epsilon=inf": ("epsilon", lambda go, mms, mesh: go(spec=dataclasses.replace(mms, epsilon=INF))),
+    "b=(nan, 1)": ("velocity b", lambda go, mms, mesh: go(spec=dataclasses.replace(mms, b=(NAN, 1.0)))),
+    "b=(1, 2, 3)": ("velocity b", lambda go, mms, mesh: go(spec=dataclasses.replace(mms, b=(1.0, 2.0, 3.0)))),
+    "T=nan": ("final time T", lambda go, mms, mesh: go(tgrid=TimeGrid(NAN, 4))),
+    "T=inf": ("final time T", lambda go, mms, mesh: go(tgrid=TimeGrid(INF, 4))),
+    "N=2.5": ("step count N", lambda go, mms, mesh: go(tgrid=TimeGrid(0.25, 2.5))),
+    "M=4.0": ("cell count M", lambda go, mms, mesh: go(lgrid=LGrid(0.0, 1.0, 4.0))),
+    "l_max=inf": (r"\[l_min, l_max\]", lambda go, mms, mesh: go(lgrid=LGrid(0.0, INF, 4))),
+    "l_min=-inf": (r"\[l_min, l_max\]", lambda go, mms, mesh: go(lgrid=LGrid(-INF, 1.0, 4))),
+    "Operators tau=nan": (
+        "step size tau",
+        lambda go, mms, mesh: precompute_operators(mesh, P1, mms, NAN, LGrid(0.0, 1.0, 4)),
+    ),
+    "assemble_stiffness epsilon=nan": ("epsilon", lambda go, mms, mesh: fem.assemble_stiffness(mesh, P1, NAN)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_INPUTS))
+def test_non_finite_and_wrong_shape_inputs_are_rejected_before_any_assembly(mms, monkeypatch, case):
+    name, call = REJECTED_INPUTS[case]
+    mesh, basis, lgrid, tgrid = small_setup()
+    assembled = []
+    monkeypatch.setattr(stepper, "_run_operators", lambda *args: assembled.append(args))
+    monkeypatch.setattr(fem, "_form_quad", lambda *args: assembled.append(args))
+    for run in (run_sequential, lambda *args: run_pipeline(*args, 2)):
+
+        def go(spec=mms, lgrid=lgrid, tgrid=tgrid):
+            return run(spec, mesh, basis, lgrid, tgrid)
+
+        with pytest.raises((ValueError, TypeError), match=name):
+            call(go, mms, mesh)
+    assert assembled == []
+
+
 def test_an_incompatible_and_unstable_run_reports_the_incompatibility():
     mesh, basis, _, _ = small_setup()
     lgrid, tgrid = LGrid(0.0, 1.0, 4), TimeGrid(2.0, 4)  # tau = 2 iota
@@ -951,18 +992,23 @@ def capped_gmres(function):
 
 
 # where the capped solve fails: the level-0 projections, the inflow
-# projection of level 1 (a time-dependent inflow, so it is solved again), or
-# the step solves of the first chunk, slices 1..16 or worker 0's 1..8, with
-# the (n, m) and the kind of solve the failure names
+# projection of level 1 (a time-dependent inflow, so it is solved again) in a
+# run or through boundary_slice, or the step solves of the first chunk,
+# slices 1..16 or worker 0's 1..8, with the (n, m) and the kind of solve the
+# failure names
 GMRES_FAILURES = {
     "level 0": ((0, 1), "projection of slice m=1 at step n=0"),
     "inflow": ((1, 0), "projection of slice m=0 at step n=1"),
+    "boundary_slice": ((1, 0), "projection of slice m=0 at step n=1"),
     "step": ((1, 1), "step solve of slices m=1..{last} at step n=1"),
 }
 
 
-@pytest.mark.parametrize("workers", [None, 2])
-@pytest.mark.parametrize("where", sorted(GMRES_FAILURES))
+@pytest.mark.parametrize(
+    "where, workers",
+    [(where, workers) for where in sorted(set(GMRES_FAILURES) - {"boundary_slice"}) for workers in (None, 2)]
+    + [("boundary_slice", None)],
+)
 def test_a_failing_solve_names_its_slice(mms, monkeypatch, where, workers):
     from pbemoc import pipeline
 
@@ -970,21 +1016,26 @@ def test_a_failing_solve_names_its_slice(mms, monkeypatch, where, workers):
     tgrid = TimeGrid(0.125, 4)  # tau = iota / 2, inside the growth bound of mms
     config = SolverConfig("iterative", tol=1e-14)
     spec = mms
-    if where == "level 0":
-        monkeypatch.setattr(fem, "GMRES_MAXITER", 1)
-    elif where == "step":
-        monkeypatch.setattr(stepper, "advance_block", capped_gmres(advance_block))
-    else:
+    if where in ("inflow", "boundary_slice"):
         spec = make_spec(
             z_init=lambda l, x, y: sines(x, y),
             z_init_grad=lambda l, x, y: sines_grad(x, y),
             z_bdry=lambda t, x, y: (1.0 + t) * sines(x, y),
             z_bdry_grad=lambda t, x, y: tuple((1.0 + t) * g for g in sines_grad(x, y)),
         )
+    if where == "level 0":
+        monkeypatch.setattr(fem, "GMRES_MAXITER", 1)
+    elif where != "boundary_slice":  # advance_block is the one level entry of both runs
         for module in (stepper, pipeline):
-            monkeypatch.setattr(module, "_advance_level", capped_gmres(stepper._advance_level))
+            monkeypatch.setattr(module, "advance_block", capped_gmres(advance_block))
     (n, m), message = GMRES_FAILURES[where]
-    if workers is None:
+    if where == "boundary_slice":
+        ops = precompute_operators(mesh, basis, spec, tgrid.tau, lgrid, config)
+        initialize(mesh, basis, spec, lgrid, ops)
+        with pytest.raises(SolveFailure) as err:
+            capped_gmres(boundary_slice)(n, tgrid, mesh, basis, spec, ops)
+        failure = err.value
+    elif workers is None:
         with pytest.raises(SolveFailure) as err:
             run_sequential(spec, mesh, basis, lgrid, tgrid, config)
         failure = err.value
